@@ -60,8 +60,8 @@ bench-pipeline:
 	$(GO) run ./cmd/revbench -instrs 300000 -lanesjson /tmp/pipeline.json
 
 # Regenerate the committed pipeline scaling record: sweeps lanes {1,2,4}
-# x publish-batch {1,16,64} x GOMAXPROCS (powers of two up to NumCPU),
-# checks byte identity and steady-state allocs/run at every point, and
+# x GOMAXPROCS (powers of two up to NumCPU), checks byte identity and
+# steady-state allocs/run at every point, and
 # writes the self-annotating record (single_cpu / scaling_valid are
 # machine-written from the recording host). Exits nonzero on identity
 # divergence or any point allocating past 0 allocs/run.

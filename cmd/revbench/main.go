@@ -40,14 +40,14 @@
 // committed BENCH_pipeline.json).
 //
 // With -scalingjson, revbench sweeps the pipelined executor across lanes
-// {1, 2, 4} x publish-batch {1, 16, 64} x GOMAXPROCS (powers of two up to
-// NumCPU), measuring wall time, byte identity against the serial run, and
-// steady-state allocations per run at every point, and writes the
-// self-annotating scaling record (the committed BENCH_pipeline.json): the
-// single_cpu and scaling_valid fields are machine-written from the
-// recording host, so the artifact cannot claim an unproven speedup. Exits
-// nonzero on identity divergence or when any point allocates past
-// -scalingallocs (default 0 — the run-arena contract).
+// {1, 2, 4} x GOMAXPROCS (powers of two up to NumCPU), measuring wall
+// time, byte identity against the serial run, and steady-state
+// allocations per run at every point, and writes the self-annotating
+// scaling record (the committed BENCH_pipeline.json): the single_cpu and
+// scaling_valid fields are machine-written from the recording host, so
+// the artifact cannot claim an unproven speedup. Exits nonzero on
+// identity divergence or when any point allocates past -scalingallocs
+// (default 0 — the run-arena contract).
 //
 // With -teljson, revbench probes the telemetry overhead: one REV-protected
 // workload is timed (best of -telrounds) with telemetry disabled, with the
@@ -230,7 +230,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write machine-readable timings (e.g. BENCH_hotpath.json)")
 	parJSONPath := flag.String("parjson", "", "write serial-vs-fleet timings (e.g. BENCH_parallel.json)")
 	lanesJSONPath := flag.String("lanesjson", "", "write serial-vs-pipelined lane timings (e.g. BENCH_pipeline.json)")
-	scalingJSONPath := flag.String("scalingjson", "", "write the lanes x batch x GOMAXPROCS scaling sweep (e.g. BENCH_pipeline.json); exits nonzero on identity divergence or allocs past -scalingallocs")
+	scalingJSONPath := flag.String("scalingjson", "", "write the lanes x GOMAXPROCS scaling sweep (e.g. BENCH_pipeline.json); exits nonzero on identity divergence or allocs past -scalingallocs")
 	scalingRounds := flag.Int("scalingrounds", 3, "timed rounds per sweep point in the -scalingjson probe (best-of)")
 	scalingAllocs := flag.Uint64("scalingallocs", 0, "max tolerated steady-state allocs per run at any -scalingjson sweep point")
 	telJSONPath := flag.String("teljson", "", "write the telemetry-overhead probe record (e.g. BENCH_telemetry.json); exits nonzero past -telthreshold")
@@ -762,7 +762,7 @@ func probeTelemetry(instrs uint64, scale float64, rounds int, threshold float64)
 		pf[i] = pfCfg{prep: pp, client: client}
 		defer pp.Close()
 		defer client.Close()
-		if _, err := pp.Run(); err != nil { // warm-up (and buffer fill)
+		if _, err := pp.RunInstance(core.InstanceOptions{Telemetry: pfSets[i]}); err != nil { // warm-up (and buffer fill)
 			return nil, err
 		}
 	}
@@ -770,7 +770,7 @@ func probeTelemetry(instrs uint64, scale float64, rounds int, threshold float64)
 		for i := range pf {
 			c := &pf[i]
 			start := time.Now()
-			res, err := c.prep.Run()
+			res, err := c.prep.RunInstance(core.InstanceOptions{Telemetry: pfSets[i]})
 			wall := time.Since(start).Seconds()
 			if err != nil {
 				return nil, err
@@ -825,14 +825,13 @@ func probeTelemetry(instrs uint64, scale float64, rounds int, threshold float64)
 	return rep, nil
 }
 
-// timedRunTel is timedRun with a per-instance telemetry Set (lane count
-// from the prepared config).
+// timedRunTel is a serial timedRun with a per-instance telemetry Set.
 func timedRunTel(prep *core.Prepared, set *telemetry.Set) (*core.Result, float64, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res, err := prep.RunWithTelemetry(set)
+	res, err := prep.RunInstance(core.InstanceOptions{Telemetry: set})
 	wall := time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
 	if err != nil {
@@ -877,7 +876,7 @@ func timedRun(prep *core.Prepared, lanes int) (*core.Result, float64, uint64, er
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res, err := prep.RunWithLanes(lanes)
+	res, err := prep.RunInstance(core.InstanceOptions{Lanes: lanes})
 	wall := time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
 	if err != nil {
@@ -1083,7 +1082,7 @@ func probeEvidence(instrs uint64, scale float64, rounds int, threshold float64) 
 	emit := func(w *countWriter) (*core.Result, float64, evidence.Stats, error) {
 		em := evidence.NewEmitter(w, evidence.Config{Binding: "bench"})
 		start := time.Now()
-		res, err := prep.RunWithEvidence(em)
+		res, err := prep.RunInstance(core.InstanceOptions{Evidence: em})
 		return res, time.Since(start).Seconds(), em.Stats(), err
 	}
 
@@ -1091,7 +1090,7 @@ func probeEvidence(instrs uint64, scale float64, rounds int, threshold float64) 
 	// (the same discipline as the telemetry probe): interleaving spreads
 	// thermal and scheduler drift evenly, and the minimum is the
 	// least-noise estimator for a deterministic workload.
-	if _, err := prep.Run(); err != nil {
+	if _, err := prep.RunInstance(core.InstanceOptions{}); err != nil {
 		return nil, err
 	}
 	if _, _, _, err := emit(&countWriter{}); err != nil {
@@ -1103,7 +1102,7 @@ func probeEvidence(instrs uint64, scale float64, rounds int, threshold float64) 
 	var evBytes uint64
 	for r := 0; r < rounds; r++ {
 		start := time.Now()
-		res, err := prep.Run()
+		res, err := prep.RunInstance(core.InstanceOptions{})
 		wall := time.Since(start).Seconds()
 		if err != nil {
 			return nil, err
@@ -1131,7 +1130,7 @@ func probeEvidence(instrs uint64, scale float64, rounds int, threshold float64) 
 	stream := func() ([]byte, error) {
 		var buf bytes.Buffer
 		em := evidence.NewEmitter(&buf, evidence.Config{Binding: "bench"})
-		if _, err := prep.RunWithEvidence(em); err != nil {
+		if _, err := prep.RunInstance(core.InstanceOptions{Evidence: em}); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil

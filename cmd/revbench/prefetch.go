@@ -134,7 +134,7 @@ func probePrefetch(instrs uint64, scale float64, depths []int, gateMax float64) 
 				return nil, fmt.Errorf("depth=%d/%v: %w", depth, delay, err)
 			}
 			start := time.Now()
-			res, err := rprep.Run()
+			res, err := rprep.RunInstance(core.InstanceOptions{})
 			wall := time.Since(start).Seconds()
 			st, _ := rprep.PrefetchStats()
 			rprep.Close()

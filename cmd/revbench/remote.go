@@ -120,7 +120,7 @@ func probeRemote(instrs uint64, scale float64) (*remoteReport, error) {
 				return nil, fmt.Errorf("%s/%v: %w", mode, delay, err)
 			}
 			start := time.Now()
-			res, err := rprep.Run()
+			res, err := rprep.RunInstance(core.InstanceOptions{})
 			wall := time.Since(start).Seconds()
 			client.Close()
 			if err != nil {

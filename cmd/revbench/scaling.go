@@ -3,9 +3,9 @@ package main
 // The -scalingjson probe: an honest multi-core scaling record for the
 // pipelined validator. Earlier BENCH_pipeline.json revisions carried a
 // hand-written "produced on a 1-CPU host" caveat; this probe makes the
-// hardware context machine-written — it sweeps lanes × publish-batch ×
-// GOMAXPROCS, measures wall time, byte-identity, and steady-state
-// allocations per run at every point, and self-annotates the artifact
+// hardware context machine-written — it sweeps lanes × GOMAXPROCS,
+// measures wall time, byte-identity, and steady-state allocations per
+// run at every point, and self-annotates the artifact
 // with single_cpu / scaling_valid so a speedup claim can never outrun
 // the host it was measured on.
 
@@ -19,11 +19,10 @@ import (
 	"rev/internal/workload"
 )
 
-// scalePoint is one lanes×batch×procs cell of the scaling sweep.
+// scalePoint is one lanes×procs cell of the scaling sweep.
 type scalePoint struct {
 	Procs int `json:"procs"`
 	Lanes int `json:"lanes"`
-	Batch int `json:"batch"`
 	// WallSeconds is the best-of-rounds wall time; Speedup is relative
 	// to the serial baseline measured at the same GOMAXPROCS.
 	WallSeconds float64 `json:"wall_seconds"`
@@ -45,7 +44,7 @@ type serialBaseline struct {
 }
 
 // scalingReport is the BENCH_pipeline.json payload: per-core scaling
-// curves over the lanes×batch grid with machine-written host truth.
+// curves over the lane counts with machine-written host truth.
 type scalingReport struct {
 	Generated string   `json:"generated"`
 	Host      hostMeta `json:"host"`
@@ -122,8 +121,8 @@ func measurePoint(prep *core.Prepared, opts core.InstanceOptions, rounds int) (*
 	return res, best, allocs, nil
 }
 
-// probeScaling sweeps the pipelined executor across lanes × batch ×
-// GOMAXPROCS and writes the self-annotating scaling record. It fails on
+// probeScaling sweeps the pipelined executor across lanes × GOMAXPROCS
+// and writes the self-annotating scaling record. It fails on
 // any identity divergence; the allocs-per-run gate is the caller's
 // (allocBudget, normally 0).
 func probeScaling(instrs uint64, scale float64, rounds int, allocBudget uint64) (*scalingReport, error) {
@@ -185,34 +184,32 @@ func probeScaling(instrs uint64, scale float64, rounds int, allocBudget uint64) 
 			rep.MaxAllocsPerRun = serialAllocs
 		}
 		for _, lanes := range []int{1, 2, 4} {
-			for _, batch := range []int{1, 16, 64} {
-				res, wall, allocs, err := measurePoint(prep,
-					core.InstanceOptions{Lanes: lanes, Batch: batch, Out: &out}, rounds)
-				if err != nil {
-					return nil, fmt.Errorf("procs=%d lanes=%d batch=%d: %w", procs, lanes, batch, err)
-				}
-				pt := scalePoint{
-					Procs: procs, Lanes: lanes, Batch: batch,
-					WallSeconds:  round3(wall),
-					Identical:    identitySig(res) == serialSig,
-					AllocsPerRun: allocs,
-				}
-				if wall > 0 {
-					pt.Speedup = round3(serialWall / wall)
-				}
-				if !pt.Identical {
-					allIdentical = false
-				}
-				if pt.Speedup > rep.BestSpeedup {
-					rep.BestSpeedup = pt.Speedup
-				}
-				if allocs > rep.MaxAllocsPerRun {
-					rep.MaxAllocsPerRun = allocs
-				}
-				rep.Points = append(rep.Points, pt)
-				fmt.Printf("procs=%d lanes=%d batch=%-2d  serial %7.3fs  pipelined %7.3fs  speedup %5.2fx  identical %v  allocs/run %d\n",
-					procs, lanes, batch, serialWall, wall, pt.Speedup, pt.Identical, allocs)
+			res, wall, allocs, err := measurePoint(prep,
+				core.InstanceOptions{Lanes: lanes, Out: &out}, rounds)
+			if err != nil {
+				return nil, fmt.Errorf("procs=%d lanes=%d: %w", procs, lanes, err)
 			}
+			pt := scalePoint{
+				Procs: procs, Lanes: lanes,
+				WallSeconds:  round3(wall),
+				Identical:    identitySig(res) == serialSig,
+				AllocsPerRun: allocs,
+			}
+			if wall > 0 {
+				pt.Speedup = round3(serialWall / wall)
+			}
+			if !pt.Identical {
+				allIdentical = false
+			}
+			if pt.Speedup > rep.BestSpeedup {
+				rep.BestSpeedup = pt.Speedup
+			}
+			if allocs > rep.MaxAllocsPerRun {
+				rep.MaxAllocsPerRun = allocs
+			}
+			rep.Points = append(rep.Points, pt)
+			fmt.Printf("procs=%d lanes=%d  serial %7.3fs  pipelined %7.3fs  speedup %5.2fx  identical %v  allocs/run %d\n",
+				procs, lanes, serialWall, wall, pt.Speedup, pt.Identical, allocs)
 		}
 	}
 

@@ -25,7 +25,10 @@
 //     offered rate, and latency is measured from the *intended* start
 //     time, so queueing delay under overload is charged to the server
 //     (coordinated-omission-aware), tracing out the throughput-vs-
-//     offered-load curve.
+//     offered-load curve. Each rate point also reports the send lag
+//     (how late the generator enqueued each request against its
+//     intended time), which bounds how much of that latency is the
+//     generator's own sleep overshoot.
 //
 // Every remote lookup verdict is compared against a locally held copy
 // of the same snapshot — the harness is also an end-to-end byte-identity
@@ -120,6 +123,11 @@ type ratePoint struct {
 	Errors         uint64     `json:"errors"`
 	Rejected       uint64     `json:"rejected,omitempty"`
 	Latency        latSummary `json:"latency"` // from intended start time
+	// SendLag is how late the generator enqueued each request: enqueue
+	// time minus intended time. Latency includes it; a lag near the
+	// sleep granularity (~1 ms on common kernels) means requests left in
+	// bursts rather than on schedule.
+	SendLag latSummary `json:"send_lag"`
 }
 
 // shardedMeta records the sharded plane a run was measured against.
@@ -464,8 +472,10 @@ func main() {
 			p.Errors, p.Rejected, p.Mismatches)
 	}
 	for _, r := range rec.RateSweep {
-		fmt.Fprintf(os.Stderr, "revload: offered %8.0f/s achieved %8.0f/s  p50 %s p99 %s  errs %d rej %d\n",
-			r.OfferedOpsSec, r.AchievedOpsSec, time.Duration(r.Latency.P50), time.Duration(r.Latency.P99), r.Errors, r.Rejected)
+		fmt.Fprintf(os.Stderr, "revload: offered %8.0f/s achieved %8.0f/s  p50 %s p99 %s  send lag p50 %s p99 %s max %s  errs %d rej %d\n",
+			r.OfferedOpsSec, r.AchievedOpsSec, time.Duration(r.Latency.P50), time.Duration(r.Latency.P99),
+			time.Duration(r.SendLag.P50), time.Duration(r.SendLag.P99), time.Duration(r.SendLag.Max),
+			r.Errors, r.Rejected)
 	}
 	if *jsonPath != "" {
 		buf, err := json.MarshalIndent(rec, "", "  ")
@@ -645,7 +655,10 @@ func closedLoop(name string, nw int, dur time.Duration, op func(w int, rng *rand
 // dur, measuring each operation's latency from its *intended* start
 // time: when the server (or the queue in front of it) falls behind, the
 // wait is charged to the measurement instead of silently stretching the
-// schedule (the coordinated-omission correction).
+// schedule (the coordinated-omission correction). It also records how
+// late the generator itself enqueued each request (the send lag), so a
+// record shows how much of that latency the schedule's own sleep
+// overshoot contributed.
 func openLoop(tcs []*tenantCtx, nw int, rate float64, dur time.Duration, seed int64) ratePoint {
 	interval := time.Duration(float64(time.Second) / rate)
 	capacity := int(rate*dur.Seconds()) + nw + 1
@@ -669,12 +682,14 @@ func openLoop(tcs []*tenantCtx, nw int, rate float64, dur time.Duration, seed in
 			}
 		}(w)
 	}
+	var lag hdrHist
 	start := time.Now()
 	next := start
 	for next.Sub(start) < dur {
 		if d := time.Until(next); d > 0 {
 			time.Sleep(d)
 		}
+		lag.observe(time.Since(next))
 		queue <- next
 		next = next.Add(interval)
 	}
@@ -693,5 +708,6 @@ func openLoop(tcs []*tenantCtx, nw int, rate float64, dur time.Duration, seed in
 		Ops:            h.count,
 		Errors:         e,
 		Latency:        h.summary(),
+		SendLag:        lag.summary(),
 	}
 }

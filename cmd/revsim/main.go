@@ -19,10 +19,7 @@
 // lock-free ring, and validation verdicts are retired in program order so
 // cycle counts and attack verdicts are byte-identical to -lanes 0 (serial).
 // The default, -lanes -1, auto-sizes to the host (0 on a single-CPU box,
-// where extra lanes can only time-slice). -batch N sets the pipeline's
-// publish/retire batch depth (0 picks the default of 16); batching
-// amortizes the per-block ring synchronization without changing retire
-// order, so results stay byte-identical at any depth.
+// where extra lanes can only time-slice).
 //
 // Multiple benchmarks (comma separated, or "all") are sharded across the
 // validation fleet: each run owns its engine, pipeline and memory; reports
@@ -89,7 +86,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload static-size scale")
 	parallel := flag.Int("parallel", 0, "validation-fleet worker goroutines (0 = GOMAXPROCS)")
 	lanes := flag.Int("lanes", -1, "async CHG hash lanes per run: -1 auto-size to the host, 0 serial, N explicit")
-	batch := flag.Int("batch", 0, "pipelined publish/retire batch depth: 0 default (16), N explicit (clamped to half the ring)")
 	tenants := flag.Int("tenants", 1, "concurrent tenant instances sharing one signature table (requires -rev, one benchmark)")
 	sigServer := flag.String("sigserver", "", "fetch signature tables from a revserved endpoint (host:port) instead of building them locally (requires -rev; see docs/PROTOCOL.md)")
 	sigTenant := flag.String("sigtenant", "default", "tenant namespace on the -sigserver endpoint")
@@ -141,7 +137,6 @@ func main() {
 	rc := core.DefaultRunConfig()
 	rc.MaxInstrs = *instrs
 	rc.Lanes = *lanes
-	rc.Batch = *batch
 	if *rev {
 		cfg := core.DefaultConfig()
 		cfg.SC.SizeKB = *scKB
@@ -255,7 +250,9 @@ func main() {
 			var prep *core.Prepared
 			prep, err = core.PrepareRemote(jobs[i].p.Builder(), rcj, sigClient)
 			if err == nil {
-				res, err = prep.Run()
+				res, err = prep.RunInstance(core.InstanceOptions{
+					Lanes: rcj.Lanes, Telemetry: rcj.Telemetry, Evidence: rcj.Evidence,
+				})
 			}
 		} else {
 			res, err = core.Run(jobs[i].p.Builder(), rcj)
@@ -383,7 +380,10 @@ func runTenants(name string, rc core.RunConfig, scale float64, n, workers int, s
 		Fn: func(_, idx int, _ int) (*core.Result, error) {
 			// Each tenant gets its own track label; metric cells are shared,
 			// so the registry snapshot is the merged fleet view.
-			return prep.RunWithTelemetry(set.WithLabel(fmt.Sprintf("%s.t%d", p.Name, idx)))
+			return prep.RunInstance(core.InstanceOptions{
+				Lanes:     rc.Lanes,
+				Telemetry: set.WithLabel(fmt.Sprintf("%s.t%d", p.Name, idx)),
+			})
 		},
 		Blocks: func(r *core.Result) uint64 { return r.Pipe.BBCount },
 		Trace:  set.Recorder(),

@@ -36,7 +36,7 @@ func TestPreparedRunAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm-up: first run pays one-time lazy costs (e.g. decode tables).
-	if _, err := prep.RunWithLanes(0); err != nil {
+	if _, err := prep.RunInstance(InstanceOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -44,7 +44,7 @@ func TestPreparedRunAllocBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		res, err := prep.RunWithLanes(lanes)
+		res, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -69,10 +69,18 @@ func TestPreparedRunAllocBudget(t *testing.T) {
 
 // TestRunInstanceZeroAllocs pins the run-arena contract end to end: after
 // warmup, a RunInstance call with a reused Out performs ZERO heap
-// allocations per run — not just zero per block — at serial and pipelined
-// lane×batch points. The arena resets the cloned program, caches,
-// predictor, pipeline, machine, engine (memo, sigcache, SAG, CHG), and
-// the SPSC rig in place instead of rebuilding them (arena.go).
+// allocations per run — not just zero per block — serial and pipelined.
+// The arena resets the cloned program, caches, predictor, pipeline,
+// machine, engine (memo, sigcache, SAG, CHG), and the SPSC rig in place
+// instead of rebuilding them (arena.go).
+//
+// testing.AllocsPerRun pins GOMAXPROCS to 1, which hides what pipelined
+// runs allocate on a multi-core host: each run spawns its producer and
+// lane goroutines, and with more than one P the runtime allocates their
+// descriptors (runtime.malg) and each new goroutine's first backoff
+// sleep allocates a timer — about 1–11 allocations per pipelined run at
+// GOMAXPROCS 2 (docs/CONCURRENCY.md). Serial runs allocate nothing at
+// any GOMAXPROCS.
 func TestRunInstanceZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget probe is a full run")
@@ -90,14 +98,14 @@ func TestRunInstanceZeroAllocs(t *testing.T) {
 	}
 	var out Result
 	for _, c := range []struct {
-		name         string
-		lanes, batch int
+		name  string
+		lanes int
 	}{
-		{"serial", 0, 0},
-		{"lanes=1/batch=1", 1, 1},
-		{"lanes=2/batch=16", 2, 16},
+		{"serial", 0},
+		{"lanes=1", 1},
+		{"lanes=2", 2},
 	} {
-		opts := InstanceOptions{Lanes: c.lanes, Batch: c.batch, Out: &out}
+		opts := InstanceOptions{Lanes: c.lanes, Out: &out}
 		// Warm-up: builds the arena (first run) plus this point's lane
 		// pool, and grows every reusable backing to steady-state capacity.
 		for i := 0; i < 2; i++ {
@@ -120,11 +128,12 @@ func TestRunInstanceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPreparedWrapperAllocBudget pins the allocating convenience
-// wrappers at their documented floors: Run/RunWithLanes allocate only the
-// returned Result box and its Output copy; RunWithEvidence adds the
-// single-use emitter machinery the caller constructs per run. Regressions
-// here mean the arena stopped absorbing per-run state.
+// TestPreparedWrapperAllocBudget pins the allocating forms of
+// RunInstance at their documented floors: without Out, serial and
+// pipelined runs allocate only the returned Result box and its Output
+// copy; with Evidence, a run adds the single-use emitter machinery the
+// caller constructs per run. Regressions here mean the arena stopped
+// absorbing per-run state.
 func TestPreparedWrapperAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget probe is a full run")
@@ -140,27 +149,27 @@ func TestPreparedWrapperAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Run(); err != nil {
+	if _, err := prep.RunInstance(InstanceOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.RunWithLanes(1); err != nil {
+	if _, err := prep.RunInstance(InstanceOptions{Lanes: 1}); err != nil {
 		t.Fatal(err)
 	}
 
 	const wrapperBudget = 4 // Result box + Output backing, with slack
 	if allocs := testing.AllocsPerRun(5, func() {
-		if _, err := prep.Run(); err != nil {
+		if _, err := prep.RunInstance(InstanceOptions{}); err != nil {
 			t.Error(err)
 		}
 	}); allocs > wrapperBudget {
-		t.Errorf("Prepared.Run: %.1f allocs/run, budget %d", allocs, wrapperBudget)
+		t.Errorf("serial RunInstance without Out: %.1f allocs/run, budget %d", allocs, wrapperBudget)
 	}
 	if allocs := testing.AllocsPerRun(5, func() {
-		if _, err := prep.RunWithLanes(1); err != nil {
+		if _, err := prep.RunInstance(InstanceOptions{Lanes: 1}); err != nil {
 			t.Error(err)
 		}
 	}); allocs > wrapperBudget {
-		t.Errorf("RunWithLanes(1): %.1f allocs/run, budget %d", allocs, wrapperBudget)
+		t.Errorf("lanes=1 RunInstance without Out: %.1f allocs/run, budget %d", allocs, wrapperBudget)
 	}
 
 	// Evidence emitters are single-use by design, so the per-run floor is

@@ -1,14 +1,13 @@
-// Run arenas: reusable per-instance execution state for Prepared
-// workloads.
+// Run arenas: the reusable per-instance execution state every run goes
+// through.
 //
-// A Prepared instance run needs a cloned program image, a memory
-// hierarchy, a branch predictor, an out-of-order pipeline, a functional
-// machine, a REV engine over the shared tables, and (pipelined) the SPSC
-// ring with its pooled block records. Before this file, every
-// Prepared.Run built all of that fresh — ~one allocation per mapped page
-// plus the fixed structures, per run. A runArena builds the whole set
-// once and resets it in place between runs, so steady-state instance
-// runs are allocation-free end to end (pinned by TestRunInstanceZeroAllocs):
+// An instance run needs a cloned program image, a memory hierarchy, a
+// branch predictor, an out-of-order pipeline, a functional machine, (for
+// protected runs) a REV engine over the Prepared's shared tables, and
+// (pipelined) the SPSC ring with its pooled block records. A runArena
+// builds the whole set once and resets it in place between runs, so
+// steady-state serial instance runs are allocation-free end to end
+// (pinned by TestRunInstanceZeroAllocs):
 //
 //   - prog.Memory.ResetFrom restores the cloned image from the pristine
 //     prototype without reallocating pages (extra pages a run mapped are
@@ -20,29 +19,29 @@
 //     and sigcache slabs invalidated, SAG registration replayed, code
 //     watches re-armed so the code-version epoch sequence restarts
 //     exactly as a fresh build's).
+//   - A page-shadowing run's shadow.Memory closes its epoch, zeroes its
+//     statistics, and clears its code watch for the engine to re-arm.
 //   - The pipelined rig (ring, slots, lane pools, producer channel, and
 //     the pre-bound hook closures) is cached on the parts and re-armed
 //     per run (pipeline.go); the ring's sequence counters run
 //     monotonically across runs while each pool Reset primes its
 //     progress cursors.
 //
-// Determinism: a reset arena is observationally identical to a fresh
-// build — byte-identical figures, verdicts, forensics, and evidence
-// streams — which TestArenaReuseMatchesFresh pins, including across
-// attacked and self-modifying-code runs.
+// Telemetry-enabled runs use the arena too: their registry view reads
+// copies of the run's figure structs taken at run end
+// (registerRunViews), never the structs the next run resets.
 //
-// Two run shapes bypass the arena and keep the fresh-build path:
-// PageShadowing (the shadow.Memory epoch holds cross-run promotion
-// state) and telemetry-enabled runs (registry views snapshot per-run
-// Stats structs on demand; reusing the structs across runs would
-// double-count in the additive registry merge).
+// Determinism: a reset arena is observationally identical to a fresh
+// build — byte-identical figures, verdicts, forensics, shadow
+// statistics, and evidence streams — which TestArenaReuseMatchesFresh
+// pins, including across attacked, page-shadowing, telemetry, and
+// self-modifying-code runs.
 package core
 
 import (
 	"fmt"
 
 	"rev/internal/cpu"
-	"rev/internal/crypt"
 	"rev/internal/isa"
 	"rev/internal/prog"
 )
@@ -87,45 +86,42 @@ func (p *Prepared) releaseArena(a *runArena) {
 	p.arenaMu.Unlock()
 }
 
-// newArena performs the fresh build the arena will afterwards reuse:
-// exactly the construction sequence runInstance used before arenas, so
-// run one over a new arena is literally the old fresh-build run.
+// newArena performs the build the arena will afterwards reuse: a clone
+// of the prototype, the microarchitectural parts over it, and — for a
+// protected workload — an engine registered with every shared table.
 func (p *Prepared) newArena() (*runArena, error) {
-	rc := p.rc
-	rc.Lanes, rc.Telemetry, rc.Evidence = 0, nil, nil
 	measured := p.proto.Clone()
-	parts := assemble(measured, rc)
-	ks := crypt.NewKeyStore(crypt.DeriveKey(rc.KeySeed, "cpu-private"))
-	engine := NewEngine(*rc.REV, parts.space, parts.hier, ks)
-	for _, st := range p.Tables {
-		if err := engine.AddSharedModule(st); err != nil {
-			return nil, fmt.Errorf("core: sharing table for %s: %w", st.Module, err)
+	parts := assemble(measured, p.rc)
+	a := &runArena{owner: p, p: parts, measured: measured}
+	if p.rc.REV != nil {
+		engine := NewEngine(*p.rc.REV, parts.space, parts.hier)
+		for _, st := range p.Tables {
+			if err := engine.AddSharedModule(st); err != nil {
+				return nil, fmt.Errorf("core: sharing table for %s: %w", st.Module, err)
+			}
 		}
+		parts.attach(engine, p.rc)
+		a.serialHook, a.serialSys = parts.pipe.Hook, parts.mach.SysHandler
 	}
-	parts.attach(engine, rc)
-	a := &runArena{
-		owner:      p,
-		p:          parts,
-		measured:   measured,
-		serialHook: parts.pipe.Hook,
-		serialSys:  engine.SysHandler,
-	}
-	if rc.AttackHook != nil {
-		hook, mach := rc.AttackHook, parts.mach
+	if hook := p.rc.AttackHook; hook != nil {
+		mach := parts.mach
 		a.attackStep = func(pc uint64, in isa.Instr) { hook(mach, pc, in) }
 	}
 	return a, nil
 }
 
 // reset returns every arena structure to its post-build state, in order:
-// the program image first (which also resets the code watch), then the
-// microarchitectural parts, then the engine — whose Reset re-arms the
-// code watches from its module sources, reproducing a fresh build's
-// epoch sequence exactly.
+// the program image and any shadow over it first (which also clears
+// their code watches), then the microarchitectural parts, then the
+// engine — whose Reset re-arms the code watches from its module sources,
+// reproducing a fresh build's epoch sequence exactly.
 func (a *runArena) reset() {
 	p := a.p
 	p.mach.Reset(a.measured)
 	a.measured.Mem.ResetFrom(a.owner.proto.Mem)
+	if p.shadowMem != nil {
+		p.shadowMem.Reset()
+	}
 	p.hier.Reset()
 	p.pred.Reset()
 	p.pipe.Reset()
@@ -158,8 +154,8 @@ func (a *runArena) runInto(rc RunConfig, res *Result) error {
 	}
 	// res.Output aliases the machine's output backing, which the next run
 	// over this arena will truncate and refill: copy it into the caller's
-	// reusable backing. An empty output stays nil, matching the serial
-	// fresh path (Output is nil until the first OUT instruction retires).
+	// reusable backing. An empty output stays nil, as on a fresh machine
+	// (Output is nil until the first OUT instruction retires).
 	if len(res.Output) == 0 {
 		res.Output = nil
 	} else {

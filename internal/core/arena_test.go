@@ -2,54 +2,155 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"rev/internal/asm"
 	"rev/internal/cpu"
 	"rev/internal/evidence"
 	"rev/internal/isa"
 	"rev/internal/prog"
 	"rev/internal/sigtable"
+	"rev/internal/telemetry"
 )
 
-// TestArenaReuseMatchesFresh pins the arena determinism contract: N
-// back-to-back runs over ONE Prepared — each reusing the same arena, the
-// same SPSC rig, the same lane pools — must be byte-identical to a run
-// on a freshly built Prepared, at serial and at pipelined lane×batch
-// points. Any state a reset fails to clear (cache LRU stamps, memo
-// epochs, ring cursors, store-table contents) shows up here as a figure
-// divergence.
+// injectAt500 overwrites the third code word at the 500th retired
+// instruction. It keys on the per-run Instret counter, so every replay
+// over a reused arena injects at the same point.
+func injectAt500(m *cpu.Machine, pc uint64, in isa.Instr) {
+	if m.Instret == 500 {
+		inj := isa.Instr{Op: isa.ADDI, Rd: 20, Imm: 666}
+		var buf [isa.WordSize]byte
+		inj.EncodeTo(buf[:])
+		m.Mem.WriteBytes(prog.CodeBase+2*isa.WordSize, buf[:])
+	}
+}
+
+// TestArenaReuseMatchesFresh pins the arena determinism contract for
+// every run shape: N back-to-back instances over ONE Prepared — each
+// reusing the same arena, the same SPSC rig, the same lane pools — must
+// be byte-identical to core.Run, serial and pipelined. The shapes cover
+// protected runs in two formats, a base run (no engine), and page
+// shadowing over a clean and an attacked (aborting) run, whose shadow
+// epoch and statistics the arena resets. Any state a reset fails to
+// clear (cache LRU stamps, memo epochs, ring cursors, store-table
+// contents, shadow pages) shows up here as a figure divergence.
+//
+// Each shape also runs telemetry instances on the arena: two of them
+// must leave every registry counter at exactly twice one instance's
+// value, and still do after the arena is reset — their views read
+// run-end copies, never the arena's live structs.
 func TestArenaReuseMatchesFresh(t *testing.T) {
-	for _, format := range []sigtable.Format{sigtable.Normal, sigtable.CFIOnly} {
+	for _, c := range []struct {
+		name  string
+		gen   func(*asm.Builder)
+		setup func(rc *RunConfig)
+		check func(res *Result) error
+	}{
+		{"normal", loopProgram, func(rc *RunConfig) { rc.REV = revConfig(sigtable.Normal, 8) }, nil},
+		{"cfi-only", loopProgram, func(rc *RunConfig) { rc.REV = revConfig(sigtable.CFIOnly, 8) }, nil},
+		{"base", loopProgram, func(rc *RunConfig) {}, func(res *Result) error {
+			if res.Tables != nil {
+				return fmt.Errorf("base run reports tables %v", res.Tables)
+			}
+			return nil
+		}},
+		{"shadow", storeProgram, func(rc *RunConfig) {
+			rc.REV = revConfig(sigtable.Normal, 8)
+			rc.PageShadowing = true
+		}, func(res *Result) error {
+			if res.Violation != nil || res.Shadow.Epochs != 1 || res.Shadow.PagesPromoted == 0 {
+				return fmt.Errorf("clean shadowed run: violation %v, shadow %+v", res.Violation, res.Shadow)
+			}
+			return nil
+		}},
+		{"shadow-attacked", loopProgram, func(rc *RunConfig) {
+			rc.REV = revConfig(sigtable.Normal, 8)
+			rc.PageShadowing = true
+			rc.AttackHook = injectAt500
+		}, func(res *Result) error {
+			if res.Violation == nil || res.Shadow.PagesDropped == 0 || res.Shadow.PagesPromoted != 0 {
+				return fmt.Errorf("attacked shadowed run: violation %v, shadow %+v", res.Violation, res.Shadow)
+			}
+			return nil
+		}},
+	} {
 		rc := DefaultRunConfig()
 		rc.MaxInstrs = 60_000
-		rc.REV = revConfig(format, 8)
+		c.setup(&rc)
 
-		freshPrep, err := Prepare(builderOf(loopProgram), rc)
+		fresh, err := Run(builderOf(c.gen), rc)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		fresh, err := freshPrep.RunWithLanes(0)
+		again, err := Run(builderOf(c.gen), rc)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(fresh, again) {
+			t.Fatalf("%s: core.Run does not repeat:\n%+v\n%+v", c.name, fresh, again)
+		}
+		if c.check != nil {
+			if err := c.check(fresh); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
 		}
 
-		prep, err := Prepare(builderOf(loopProgram), rc)
+		prep, err := Prepare(builderOf(c.gen), rc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range []struct {
-			lanes, batch int
-		}{
-			{0, 0}, {1, 1}, {2, 8}, {4, 64},
-		} {
-			tag := format.String() + "/lanes=" + itoa(c.lanes) + "/batch=" + itoa(c.batch)
+		for _, lanes := range []int{0, 1, 2, 4} {
+			tag := c.name + "/lanes=" + itoa(lanes)
 			for rep := 0; rep < 3; rep++ {
-				res, err := prep.RunInstance(InstanceOptions{Lanes: c.lanes, Batch: c.batch})
+				res, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
 				if err != nil {
 					t.Fatalf("%s rep=%d: %v", tag, rep, err)
 				}
 				mustMatch(t, tag+"/rep="+itoa(rep), fresh, res)
+			}
+		}
+
+		single := &telemetry.Set{Reg: telemetry.NewRegistry()}
+		res, err := prep.RunInstance(InstanceOptions{Telemetry: single})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, c.name+"/telemetry", fresh, res)
+		double := &telemetry.Set{Reg: telemetry.NewRegistry()}
+		for i := 0; i < 2; i++ {
+			if _, err := prep.RunInstance(InstanceOptions{Telemetry: double}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Zero every struct the arena owns: a view aliasing them would
+		// now read zeros.
+		a, err := prep.acquireArena()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.reset()
+		want, got := single.Reg.Snapshot(), double.Reg.Snapshot()
+		prep.releaseArena(a)
+		if want.Counters["cpu.blocks"] == 0 {
+			t.Fatalf("%s: telemetry instance published no cpu.blocks", c.name)
+		}
+		if len(got.Counters) != len(want.Counters) {
+			t.Errorf("%s: two instances registered %d counters, one registered %d",
+				c.name, len(got.Counters), len(want.Counters))
+		}
+		for name, v := range want.Counters {
+			if got.Counters[name] != 2*v {
+				t.Errorf("%s: counter %s = %d after two instances, want 2 x %d",
+					c.name, name, got.Counters[name], v)
+			}
+		}
+		for name, h := range want.Histograms {
+			if got.Histograms[name].Count != 2*h.Count {
+				t.Errorf("%s: histogram %s count = %d after two instances, want 2 x %d",
+					c.name, name, got.Histograms[name].Count, h.Count)
 			}
 		}
 	}
@@ -63,24 +164,16 @@ func TestArenaReuseMatchesFresh(t *testing.T) {
 // checks is that the arena's program-image restore erases the previous
 // run's injected bytes.
 func TestArenaReuseAttackParity(t *testing.T) {
-	inject := func(m *cpu.Machine, pc uint64, in isa.Instr) {
-		if m.Instret == 500 {
-			inj := isa.Instr{Op: isa.ADDI, Rd: 20, Imm: 666}
-			var buf [isa.WordSize]byte
-			inj.EncodeTo(buf[:])
-			m.Mem.WriteBytes(prog.CodeBase+2*isa.WordSize, buf[:])
-		}
-	}
 	rc := DefaultRunConfig()
 	rc.MaxInstrs = 60_000
 	rc.REV = revConfig(sigtable.Normal, 8)
-	rc.AttackHook = inject
+	rc.AttackHook = injectAt500
 
 	freshPrep, err := Prepare(builderOf(loopProgram), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := freshPrep.RunWithLanes(0)
+	fresh, err := freshPrep.RunInstance(InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +187,7 @@ func TestArenaReuseAttackParity(t *testing.T) {
 	}
 	for _, lanes := range []int{0, 2} {
 		for rep := 0; rep < 3; rep++ {
-			res, err := prep.RunWithLanes(lanes)
+			res, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
 			if err != nil {
 				t.Fatalf("lanes=%d rep=%d: %v", lanes, rep, err)
 			}
@@ -118,7 +211,7 @@ func TestArenaReuseSMCWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := freshPrep.RunWithLanes(0)
+	fresh, err := freshPrep.RunInstance(InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +223,10 @@ func TestArenaReuseSMCWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		lanes, batch int
-	}{
-		{0, 0}, {1, 1}, {4, 64},
-	} {
-		tag := "smc/lanes=" + itoa(c.lanes) + "/batch=" + itoa(c.batch)
+	for _, lanes := range []int{0, 1, 4} {
+		tag := "smc/lanes=" + itoa(lanes)
 		for rep := 0; rep < 3; rep++ {
-			res, err := prep.RunInstance(InstanceOptions{Lanes: c.lanes, Batch: c.batch})
+			res, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
 			if err != nil {
 				t.Fatalf("%s rep=%d: %v", tag, rep, err)
 			}
@@ -191,7 +280,9 @@ func TestArenaReuseEvidenceBytes(t *testing.T) {
 // TestArenaConcurrentRuns drives one Prepared from several goroutines at
 // once: the freelist must hand each caller a private arena (growing on
 // first contention), and every result must match the single-threaded
-// reference. Run under -race this doubles as the arena ownership check.
+// reference. Half the callers also share one telemetry registry, which
+// must end up holding exactly their figures. Run under -race this
+// doubles as the arena ownership check.
 func TestArenaConcurrentRuns(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.MaxInstrs = 60_000
@@ -200,12 +291,13 @@ func TestArenaConcurrentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := prep.Run()
+	fresh, err := prep.RunInstance(InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const workers = 4
+	set := telSet(1 << 10)
 	results := make([]*Result, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -213,9 +305,14 @@ func TestArenaConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Mix serial and pipelined callers to contend for both the
-			// arena freelist and (pipelined) the cached rig per arena.
-			results[w], errs[w] = prep.RunInstance(InstanceOptions{Lanes: w % 2})
+			// Mix serial and pipelined, traced and untraced callers to
+			// contend for the arena freelist, (pipelined) the cached rig
+			// per arena, and the shared registry.
+			o := InstanceOptions{Lanes: w % 2}
+			if w >= workers/2 {
+				o.Telemetry = set.WithLabel("w" + itoa(w))
+			}
+			results[w], errs[w] = prep.RunInstance(o)
 		}(w)
 	}
 	wg.Wait()
@@ -224,5 +321,8 @@ func TestArenaConcurrentRuns(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, errs[w])
 		}
 		mustMatch(t, "concurrent/worker="+itoa(w), fresh, results[w])
+	}
+	if got, want := set.Reg.Snapshot().Counters["cpu.blocks"], workers/2*fresh.Pipe.BBCount; got != want {
+		t.Errorf("registry cpu.blocks = %d, want %d (the traced callers' blocks)", got, want)
 	}
 }

@@ -7,18 +7,14 @@ import (
 )
 
 // Batch-boundary edge cases for the batched publish/retire pipeline
-// (pipeline.go). The ring holds 256 slots and these programs retire
-// thousands of blocks, so every sweep crosses ring wraparound mid-batch
-// many times over; the batch sweep below additionally places batch
-// boundaries at every alignment relative to the wrap point (batch sizes
-// 1, 3, 8, 64 are mutually coprime-ish against the 256-slot ring).
+// (pipeline.go), at its fixed depth DefaultPublishBatch. The ring holds
+// 256 slots and these programs retire thousands of blocks, so every run
+// crosses ring wraparound mid-batch many times over.
 
-// TestBatchIdentitySweep is the lanes×batch×format identity matrix: for
-// every signature-table format, every lane count and every publish batch
-// depth must reproduce the serial run byte-for-byte. Batch 1 degenerates
-// to the unbatched protocol, 8 exercises partial flushes at halt (the
-// tail block count is not a multiple of 8), 64 spans a quarter of the
-// ring so claim-gating under a full ring fires.
+// TestBatchIdentitySweep is the lanes×format identity matrix: for every
+// signature-table format and every lane count the batched pipeline must
+// reproduce the serial run byte-for-byte, including the partial batch
+// flushed at halt (the tail block count is not a multiple of the depth).
 func TestBatchIdentitySweep(t *testing.T) {
 	for _, format := range []sigtable.Format{sigtable.Normal, sigtable.Aggressive, sigtable.CFIOnly} {
 		rc := DefaultRunConfig()
@@ -28,7 +24,7 @@ func TestBatchIdentitySweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := prep.RunWithLanes(0)
+		serial, err := prep.RunInstance(InstanceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,14 +33,12 @@ func TestBatchIdentitySweep(t *testing.T) {
 				format, serial.Violation, serial.Halted)
 		}
 		for _, lanes := range []int{1, 2, 4} {
-			for _, batch := range []int{1, 8, 64} {
-				tag := format.String() + "/lanes=" + itoa(lanes) + "/batch=" + itoa(batch)
-				piped, err := prep.RunInstance(InstanceOptions{Lanes: lanes, Batch: batch})
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				mustMatch(t, tag, serial, piped)
+			tag := format.String() + "/lanes=" + itoa(lanes)
+			piped, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
 			}
+			mustMatch(t, tag, serial, piped)
 		}
 	}
 }
@@ -54,8 +48,7 @@ func TestBatchIdentitySweep(t *testing.T) {
 // slots, so the fence must flush the partial batch before draining the
 // ring — otherwise the drain deadlocks (lanes wait for records the
 // producer is still holding) or the stale-epoch memo leaks across the
-// fence. Batch 64 makes the partial-batch window as wide as possible;
-// batch 1 pins the degenerate flush-every-record protocol.
+// fence.
 func TestBatchSMCFenceParity(t *testing.T) {
 	for _, withWindow := range []bool{true, false} {
 		rc := DefaultRunConfig()
@@ -64,7 +57,7 @@ func TestBatchSMCFenceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := prep.RunWithLanes(0)
+		serial, err := prep.RunInstance(InstanceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,28 +73,23 @@ func TestBatchSMCFenceParity(t *testing.T) {
 			tag = "smc-nowindow"
 		}
 		for _, lanes := range []int{1, 4} {
-			for _, batch := range []int{1, 64} {
-				piped, err := prep.RunInstance(InstanceOptions{Lanes: lanes, Batch: batch})
-				if err != nil {
-					t.Fatalf("%s lanes=%d batch=%d: %v", tag, lanes, batch, err)
-				}
-				mustMatch(t, tag+"/lanes="+itoa(lanes)+"/batch="+itoa(batch), serial, piped)
+			piped, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
+			if err != nil {
+				t.Fatalf("%s lanes=%d: %v", tag, lanes, err)
 			}
+			mustMatch(t, tag+"/lanes="+itoa(lanes), serial, piped)
 		}
 	}
 }
 
-// TestBatchViolationPlacement replays the attack suite across batch
-// depths chosen so the violating block lands at different offsets inside
-// a batch — first slot (batch 1: every block is both first and last),
-// interior (batch 3: the injection point at block ≈500/loop-shape is not
-// aligned), and deep inside a wide batch (64). The violation must abort
-// the run with identical figures wherever the batch boundary falls, and
-// the producer must account for the abandoned claimed slots of the
-// partial batch on the stop path.
+// TestBatchViolationPlacement replays the attack suite through the
+// batched pipeline: the violating block lands inside a batch, so the
+// violation must abort the run with the serial run's figures, and the
+// producer must account for the abandoned claimed slots of the partial
+// batch on the stop path.
 func TestBatchViolationPlacement(t *testing.T) {
 	for _, sc := range attackScenarios() {
-		runOnce := func(lanes, batch int) *Result {
+		runOnce := func(lanes int) *Result {
 			t.Helper()
 			rc := DefaultRunConfig()
 			rc.MaxInstrs = 60_000
@@ -111,40 +99,18 @@ func TestBatchViolationPlacement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
-			res, err := prep.RunInstance(InstanceOptions{Lanes: lanes, Batch: batch})
+			res, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
 			if err != nil {
-				t.Fatalf("%s lanes=%d batch=%d: %v", sc.name, lanes, batch, err)
+				t.Fatalf("%s lanes=%d: %v", sc.name, lanes, err)
 			}
 			return res
 		}
-		serial := runOnce(0, 0)
+		serial := runOnce(0)
 		if serial.Violation == nil {
 			t.Fatalf("%s: serial reference missed the attack", sc.name)
 		}
 		for _, lanes := range []int{1, 4} {
-			for _, batch := range []int{1, 3, 64} {
-				tag := sc.name + "/lanes=" + itoa(lanes) + "/batch=" + itoa(batch)
-				mustMatch(t, tag, serial, runOnce(lanes, batch))
-			}
+			mustMatch(t, sc.name+"/lanes="+itoa(lanes), serial, runOnce(lanes))
 		}
-	}
-}
-
-// TestBatchResolution pins the batch-depth resolution rule: zero or
-// negative requests fall back to the default, oversized requests clamp
-// to half the ring so the producer can never claim the whole ring while
-// the consumer starves.
-func TestBatchResolution(t *testing.T) {
-	if got := resolveBatch(0); got != DefaultPublishBatch {
-		t.Errorf("resolveBatch(0) = %d, want DefaultPublishBatch=%d", got, DefaultPublishBatch)
-	}
-	if got := resolveBatch(-5); got != DefaultPublishBatch {
-		t.Errorf("resolveBatch(-5) = %d, want %d", got, DefaultPublishBatch)
-	}
-	if got := resolveBatch(3); got != 3 {
-		t.Errorf("resolveBatch(3) = %d, want 3", got)
-	}
-	if got, max := resolveBatch(1<<20), pipeRingSlots/2; got != max {
-		t.Errorf("resolveBatch(huge) = %d, want clamp at %d", got, max)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"rev/internal/branch"
@@ -45,7 +44,7 @@ func benchHookSetup(b *testing.B, hide bool) (*Engine, []cpu.BBInfo) {
 	static := cfg.Analyze(measured, cfg.DefaultAnalyzeOptions())
 	ks := crypt.NewKeyStore(crypt.DeriveKey(0x5eed, "cpu-private"))
 	ecfg := DefaultConfig()
-	eng := NewEngine(ecfg, space, hier, ks)
+	eng := NewEngine(ecfg, space, hier)
 	for i, mod := range measured.Modules {
 		bld := cfg.NewBuilder(mod, ecfg.Limits)
 		profiler.Apply(bld)
@@ -54,8 +53,7 @@ func benchHookSetup(b *testing.B, hide bool) (*Engine, []cpu.BBInfo) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		key := crypt.DeriveKey(0x5eed, fmt.Sprintf("module-%d-%s", i, mod.Name))
-		if err := eng.AddModule(g, key); err != nil {
+		if err := installModule(eng, g, tableKey(0x5eed, i, mod.Name), ks); err != nil {
 			b.Fatal(err)
 		}
 	}

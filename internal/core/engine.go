@@ -18,7 +18,6 @@ import (
 	"rev/internal/cfg"
 	"rev/internal/chash"
 	"rev/internal/cpu"
-	"rev/internal/crypt"
 	"rev/internal/evidence"
 	"rev/internal/forensics"
 	"rev/internal/isa"
@@ -153,9 +152,8 @@ type Engine struct {
 	SC   *sigcache.Cache
 	SAG  *sag.Unit
 	CHG  *chash.CHG
-	KS   *crypt.KeyStore
 
-	// Tables lists the installed per-module signature tables (size
+	// Tables lists the registered per-module signature tables (size
 	// accounting for the Sec. V experiments).
 	Tables []*sigtable.Table
 	// Log holds captured violation evidence when Cfg.Forensics is set.
@@ -174,8 +172,7 @@ type Engine struct {
 	pendingRet    uint64
 	pendingRetSet bool
 
-	nextSigBase uint64
-	bbTag       uint64
+	bbTag uint64
 
 	// sources records every registered signature source alongside its
 	// module name so end-of-run health annotations (remote sources that
@@ -192,7 +189,7 @@ type Engine struct {
 	// signature) and every validation-state fence as attestation
 	// evidence — the same commit-path seam as commitObs, with the same
 	// contract: one nil check on the hot path, the emitter's ring
-	// absorbs the hand-off. Set by the run driver (execute/RunThreads)
+	// absorbs the hand-off. Set by the run driver (executeInto/RunThreads)
 	// from RunConfig.Evidence.
 	ev *evidence.Emitter
 
@@ -226,51 +223,20 @@ type Engine struct {
 }
 
 // NewEngine creates a REV engine over a program's memory and hierarchy.
-func NewEngine(cfg Config, pmem prog.AddressSpace, hier *mem.Hierarchy, ks *crypt.KeyStore) *Engine {
+// It validates nothing until modules are registered (AddSharedModule).
+func NewEngine(cfg Config, pmem prog.AddressSpace, hier *mem.Hierarchy) *Engine {
 	cv, _ := pmem.(prog.CodeVersioner)
 	return &Engine{
-		Cfg:         cfg,
-		Mem:         pmem,
-		Hier:        hier,
-		SC:          sigcache.New(cfg.SC),
-		SAG:         sag.New(cfg.SAG),
-		CHG:         chash.NewCHG(cfg.CHGLatency),
-		KS:          ks,
-		enabled:     true,
-		nextSigBase: prog.SigBase,
-		memo:        newSigMemo(cfg.MemoEntries),
-		cv:          cv,
+		Cfg:     cfg,
+		Mem:     pmem,
+		Hier:    hier,
+		SC:      sigcache.New(cfg.SC),
+		SAG:     sag.New(cfg.SAG),
+		CHG:     chash.NewCHG(cfg.CHGLatency),
+		enabled: true,
+		memo:    newSigMemo(cfg.MemoEntries),
+		cv:      cv,
 	}
-}
-
-// AddModule builds the module's signature table from its reference CFG,
-// encrypts and installs it in RAM, and loads the SAG register group — the
-// work the trusted linker/loader performs before execution (Sec. IV.B).
-func (e *Engine) AddModule(g *cfg.Graph, key crypt.TableKey) error {
-	tbl, img, err := sigtable.Build(g, e.Cfg.Format, key, e.KS)
-	if err != nil {
-		return err
-	}
-	sigtable.Install(tbl, img, e.Mem, e.nextSigBase)
-	e.nextSigBase += (tbl.Size + prog.PageSize - 1) &^ (prog.PageSize - 1)
-	reader := sigtable.NewReader(tbl, e.Mem, e.KS)
-	e.Tables = append(e.Tables, tbl)
-	e.sources = append(e.sources, moduleSource{
-		module: g.Module.Name, start: g.Module.Base, limit: g.Module.Limit(), src: reader,
-	})
-	if e.cv != nil {
-		// Watch the module's text range: any store landing inside it bumps
-		// the code-version epoch and invalidates memoized signatures
-		// (self-modifying code, injection into existing code pages).
-		// Limit() addresses the final instruction; its bytes extend a word.
-		e.cv.WatchCode(g.Module.Base, g.Module.Limit()+uint64(isa.WordSize)-1)
-	}
-	return e.SAG.Register(&sag.Region{
-		Module: g.Module.Name,
-		Start:  g.Module.Base,
-		Limit:  g.Module.Limit(),
-		Reader: reader,
-	})
 }
 
 // Enabled reports whether validation is active.
@@ -291,8 +257,8 @@ func (e *Engine) OnContextSwitch() {
 
 // SysHandler implements REV's two system calls (Sec. VII): enabling or
 // disabling validation (for trusted self-modifying code windows), and
-// loading table registers (a no-op here because AddModule pre-loads them;
-// the call is accepted for binary compatibility).
+// loading table registers (a no-op here because module registration
+// pre-loads them; the call is accepted for binary compatibility).
 func (e *Engine) SysHandler(service int32, arg uint64) {
 	switch service {
 	case isa.SysREVEnable:

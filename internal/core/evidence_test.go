@@ -35,7 +35,7 @@ func TestEvidenceRoundTripAllFormats(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			em := evidence.NewEmitter(&buf, evidence.Config{Tenant: "t1", Binding: "test"})
-			res, err := prep.RunWithEvidence(em)
+			res, err := prep.RunInstance(InstanceOptions{Evidence: em})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestEvidenceIdentityAcrossConfigs(t *testing.T) {
 					defer wg.Done()
 					var buf bytes.Buffer
 					em := evidence.NewEmitter(&buf, evidence.Config{Tenant: "t1"})
-					_, errs[i] = prep.RunWithEvidence(em)
+					_, errs[i] = prep.RunInstance(InstanceOptions{Evidence: em})
 					streams[i] = buf.Bytes()
 				}(i)
 			}
@@ -273,10 +273,10 @@ func TestEvidenceSingleUse(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	em := evidence.NewEmitter(&buf, evidence.Config{})
-	if _, err := prep.RunWithEvidence(em); err != nil {
+	if _, err := prep.RunInstance(InstanceOptions{Evidence: em}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.RunWithEvidence(em); err == nil {
+	if _, err := prep.RunInstance(InstanceOptions{Evidence: em}); err == nil {
 		t.Fatal("second run on a consumed emitter must fail")
 	}
 
@@ -299,7 +299,7 @@ func TestEvidenceCrossTenantRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := prep.RunWithEvidence(evidence.NewEmitter(&buf, evidence.Config{Tenant: "alice"})); err != nil {
+	if _, err := prep.RunInstance(InstanceOptions{Evidence: evidence.NewEmitter(&buf, evidence.Config{Tenant: "alice"})}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = evidence.Verify(buf.Bytes(), evidence.VerifyConfig{

@@ -31,7 +31,7 @@ func TestSharedSnapshotConcurrentEngines(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = prep.Run()
+				results[i], errs[i] = prep.RunInstance(InstanceOptions{})
 			}(i)
 		}
 		wg.Wait()
@@ -70,17 +70,23 @@ func TestSharedSnapshotConcurrentEngines(t *testing.T) {
 	}
 }
 
-// TestPreparedMatchesRun proves the serving-shaped split is
-// observationally identical to the serial path: a Prepared.Run over a
-// shared snapshot must report the same cycles, stalls, SC behaviour and
-// table geometry as core.Run building + installing its private table.
+// TestPreparedMatchesRun proves the snapshot path every run takes is
+// observationally identical to validating against tables installed in
+// simulated memory: core.Run and an instance of a Prepared (both over
+// shared decrypted snapshots) must report the same output, cycles,
+// stalls, SC behaviour and table geometry as a run whose engine decrypts
+// records from its own RAM-installed tables (runInstalled).
 func TestPreparedMatchesRun(t *testing.T) {
 	for _, format := range []sigtable.Format{sigtable.Normal, sigtable.Aggressive, sigtable.CFIOnly} {
 		rc := DefaultRunConfig()
 		rc.MaxInstrs = 60_000
 		rc.REV = revConfig(format, 8)
 
-		serial, err := Run(builderOf(loopProgram), rc)
+		installed, err := runInstalled(builderOf(loopProgram), rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := Run(builderOf(loopProgram), rc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,36 +94,42 @@ func TestPreparedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := prep.Run()
+		shared, err := prep.RunInstance(InstanceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		if !reflect.DeepEqual(serial.Output, shared.Output) {
-			t.Fatalf("%v: output diverged", format)
-		}
-		if serial.Violation != nil || shared.Violation != nil {
-			t.Fatalf("%v: violations: serial=%v shared=%v", format, serial.Violation, shared.Violation)
-		}
-		if serial.Pipe != shared.Pipe {
-			t.Fatalf("%v: pipeline stats diverged (timing parity broken):\nserial %+v\nshared %+v",
-				format, serial.Pipe, shared.Pipe)
-		}
-		if serial.Engine != shared.Engine {
-			t.Fatalf("%v: engine stats diverged:\nserial %+v\nshared %+v",
-				format, serial.Engine, shared.Engine)
-		}
-		if serial.SC != shared.SC {
-			t.Fatalf("%v: SC stats diverged:\nserial %+v\nshared %+v",
-				format, serial.SC, shared.SC)
-		}
-		if len(serial.Tables) != len(shared.Tables) {
-			t.Fatalf("%v: table count diverged", format)
-		}
-		for i := range serial.Tables {
-			a, b := serial.Tables[i], shared.Tables[i]
-			if a.Base != b.Base || a.Buckets != b.Buckets || a.Records != b.Records || a.Size != b.Size {
-				t.Fatalf("%v: table %d geometry diverged:\nserial %+v\nshared %+v", format, i, a, b)
+		for _, got := range []struct {
+			path string
+			res  *Result
+		}{{"core.Run", run}, {"RunInstance", shared}} {
+			tag := format.String() + "/" + got.path
+			if !reflect.DeepEqual(installed.Output, got.res.Output) {
+				t.Fatalf("%s: output diverged", tag)
+			}
+			if installed.Violation != nil || got.res.Violation != nil {
+				t.Fatalf("%s: violations: installed=%v snapshot=%v", tag, installed.Violation, got.res.Violation)
+			}
+			if installed.Pipe != got.res.Pipe {
+				t.Fatalf("%s: pipeline stats diverged (timing parity broken):\ninstalled %+v\nsnapshot  %+v",
+					tag, installed.Pipe, got.res.Pipe)
+			}
+			if installed.Engine != got.res.Engine {
+				t.Fatalf("%s: engine stats diverged:\ninstalled %+v\nsnapshot  %+v",
+					tag, installed.Engine, got.res.Engine)
+			}
+			if installed.SC != got.res.SC {
+				t.Fatalf("%s: SC stats diverged:\ninstalled %+v\nsnapshot  %+v",
+					tag, installed.SC, got.res.SC)
+			}
+			if len(installed.Tables) != len(got.res.Tables) {
+				t.Fatalf("%s: table count diverged", tag)
+			}
+			for i := range installed.Tables {
+				a, b := installed.Tables[i], got.res.Tables[i]
+				if a.Base != b.Base || a.Buckets != b.Buckets || a.Records != b.Records || a.Size != b.Size {
+					t.Fatalf("%s: table %d geometry diverged:\ninstalled %+v\nsnapshot  %+v", tag, i, a, b)
+				}
 			}
 		}
 	}

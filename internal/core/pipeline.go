@@ -73,24 +73,23 @@ func resolveLanes(n int) int {
 // the functional machine can have advanced past the verdict).
 const pipeRingSlots = 256
 
-// DefaultPublishBatch is the publish/retire batch used when
-// RunConfig.Batch is 0: deep enough to amortize the per-block atomic
-// release-stores across cores, shallow enough that the consumer's verdict
-// never trails the producer by a meaningful fraction of the ring.
+// DefaultPublishBatch is the publish/retire granularity: the producer
+// makes committed-block records visible to the hash lanes in groups of up
+// to this many (flushing early whenever downstream runs dry), the
+// consumer frees retired slots in matching strides, and each lane
+// publishes its progress once per batch. Deep enough to amortize the
+// per-block atomic release-stores across cores, shallow enough that the
+// consumer's verdict never trails the producer by a meaningful fraction
+// of the ring.
 const DefaultPublishBatch = 16
 
-// resolveBatch maps a RunConfig.Batch request to an effective batch:
-// <= 0 selects the default; the ceiling keeps at least half the ring
-// circulating so producer, lanes, and consumer always overlap.
-func resolveBatch(n int) int {
-	if n <= 0 {
-		n = DefaultPublishBatch
-	}
-	if n > pipeRingSlots/2 {
-		n = pipeRingSlots / 2
-	}
-	return n
-}
+// The batch must be at least one record and leave at least half the ring
+// circulating, so producer, lanes, and consumer always overlap; both
+// array lengths go negative, failing the build, if a change breaks that.
+var (
+	_ [DefaultPublishBatch - 1]struct{}
+	_ [pipeRingSlots/2 - DefaultPublishBatch]struct{}
+)
 
 // revEvent is one intercepted SYS call, replayed into the engine by the
 // consumer at the event's program-order position.
@@ -144,9 +143,6 @@ type pipeRun struct {
 	// stop is set by the consumer on an abort (violation or internal
 	// error); producer and lanes exit at their next wait.
 	stop chash.StopFlag
-
-	// batch is the resolved publish/retire stride (resolveBatch).
-	batch int
 
 	// Producer-owned state.
 	cur         *pipeSlot // slot being filled
@@ -205,6 +201,7 @@ func (x *pipeRun) poolFor(lanes int) *chash.LanePool {
 		return p
 	}
 	p := chash.NewLanePool(x.ring, x.jobs, lanes, 0, forensics.CodeSig)
+	p.SetStride(DefaultPublishBatch)
 	x.pools[lanes] = p
 	return p
 }
@@ -215,7 +212,6 @@ func (x *pipeRun) poolFor(lanes int) *chash.LanePool {
 // producer's cached lane gate restarts, at the ring's released count.
 func (x *pipeRun) rearm(rc RunConfig, pool *chash.LanePool) {
 	x.rc = rc
-	x.batch = resolveBatch(rc.Batch)
 	x.pool = pool
 	x.stop.Reset()
 	x.cur, x.curRetire = nil, nil
@@ -268,7 +264,6 @@ func executePipelined(p *parts, rc RunConfig, lanes int, res *Result) error {
 	// ring's current released count (monotonic across arena runs).
 	pool.Reset()
 	x.rearm(rc, pool)
-	pool.SetStride(x.batch)
 	p.tel.initPipeline(lanes)
 	if p.tel != nil && p.tel.lanes != nil {
 		pool.SetObserver(p.tel.lanes)
@@ -283,12 +278,6 @@ func executePipelined(p *parts, rc RunConfig, lanes int, res *Result) error {
 func (x *pipeRun) runMeasured(res *Result) error {
 	p := x.parts
 	mach, pipe, engine := p.mach, p.pipe, p.engine
-	if x.rc.AttackHook != nil && mach.BeforeStep == nil {
-		// The arena path pre-binds this closure once (arena.go); only
-		// fresh builds reach this install.
-		rc := x.rc
-		mach.BeforeStep = func(pc uint64, in isa.Instr) { rc.AttackHook(mach, pc, in) }
-	}
 	if p.shadowMem != nil {
 		p.shadowMem.Begin()
 	}
@@ -346,10 +335,10 @@ func (x *pipeRun) runMeasured(res *Result) error {
 
 // produce runs the functional machine ahead of the timing model,
 // publishing committed-BB records. It mirrors the serial loop in
-// sim.go:execute and the front end's block-split rule in cpu.Pipeline
-// exactly: same instruction budget, same boundaries, same byte capture
-// point (after the block's last instruction executed, which is when the
-// serial hook would read them).
+// sim.go:executeMeasured and the front end's block-split rule in
+// cpu.Pipeline exactly: same instruction budget, same boundaries, same
+// byte capture point (after the block's last instruction executed, which
+// is when the serial hook would read them).
 func (x *pipeRun) produce() {
 	mach := x.parts.mach
 	engine := x.parts.engine
@@ -437,7 +426,7 @@ func (x *pipeRun) produce() {
 		// stages have run dry — batching amortizes synchronization under
 		// backlog without ever making an idle consumer wait on a partial
 		// batch.
-		if x.pending >= x.batch || x.ring.Drained() {
+		if x.pending >= DefaultPublishBatch || x.ring.Drained() {
 			flush()
 		}
 		return true
@@ -513,8 +502,8 @@ func (x *pipeRun) produce() {
 			x.cur.fail, x.cur.failPC = err, pc
 			finish(false)
 			flush()
-			x.prodErr <- err
 			x.pool.Close()
+			x.prodErr <- err
 			return
 		}
 		produced++
@@ -542,8 +531,10 @@ func (x *pipeRun) produce() {
 		}
 	}
 	flush()
-	x.prodErr <- nil
+	// Close before the hand-off: the send is the producer's last touch of
+	// the rig, so the next run's rearm can never race a late x.pool read.
 	x.pool.Close()
+	x.prodErr <- nil
 }
 
 // consume retires records in program order: the reorder-buffer step. For
@@ -621,7 +612,7 @@ func (x *pipeRun) consume() (*Violation, error) {
 		fail, failPC := s.fail, s.failPC
 		crt++
 		unreleased++
-		if unreleased >= x.batch {
+		if unreleased >= DefaultPublishBatch {
 			flushRel()
 		}
 		if fail != nil {

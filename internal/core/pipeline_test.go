@@ -71,7 +71,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := prep.RunWithLanes(0)
+		serial, err := prep.RunInstance(InstanceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 				format, serial.Violation, serial.Halted)
 		}
 		for _, lanes := range []int{1, 2, 4} {
-			piped, err := prep.RunWithLanes(lanes)
+			piped, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
 			if err != nil {
 				t.Fatalf("%v lanes=%d: %v", format, lanes, err)
 			}
@@ -119,11 +119,11 @@ func TestPipelinedPageShadowingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := prep.RunWithLanes(0)
+	serial, err := prep.RunInstance(InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	piped, err := prep.RunWithLanes(4)
+	piped, err := prep.RunInstance(InstanceOptions{Lanes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPipelinedAttackParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
-			res, err := prep.RunWithLanes(lanes)
+			res, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
 			if err != nil {
 				t.Fatalf("%s lanes=%d: %v", sc.name, lanes, err)
 			}
@@ -269,7 +269,7 @@ func TestPipelinedSMCWindowParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := prep.RunWithLanes(0)
+		serial, err := prep.RunInstance(InstanceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestPipelinedSMCWindowParity(t *testing.T) {
 			t.Fatalf("unwindowed serial run should hash-violate, got %v", serial.Violation)
 		}
 		for _, lanes := range []int{1, 4} {
-			piped, err := prep.RunWithLanes(lanes)
+			piped, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
 			if err != nil {
 				t.Fatalf("lanes=%d: %v", lanes, err)
 			}
@@ -309,7 +309,7 @@ func TestPipelinedDeferredForensics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep.RunWithLanes(2)
+	res, err := prep.RunInstance(InstanceOptions{Lanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,25 +47,26 @@ func (st *SharedTable) Source() sigtable.Source {
 	return st.Snap
 }
 
-// Prepared is the reusable, immutable preparation of a REV-protected
-// workload: the profiling pass, static analysis, and per-module
-// signature-table builds — the trusted linker/loader work of Sec. IV.B —
-// performed exactly once. A Prepared may then serve any number of
-// concurrent Run calls, each constructing a private engine over a fresh
-// program instance while sharing the decrypted tables read-only.
+// Prepared is the reusable, immutable preparation of a workload: for a
+// REV-protected workload, the profiling pass, static analysis, and
+// per-module signature-table builds — the trusted linker/loader work of
+// Sec. IV.B — performed exactly once. A Prepared may then serve any
+// number of concurrent RunInstance calls, each running a private engine
+// over a fresh program instance while sharing the decrypted tables
+// read-only.
 //
-// This is the serving-shaped split of core.Run: Prepare at load time,
-// Prepared.Run per request.
+// Every run goes through a Prepared: core.Run is Prepare followed by one
+// RunInstance, and serving paths Prepare at load time and call
+// RunInstance per request.
 type Prepared struct {
 	rc RunConfig
 	// proto is the pristine loaded-but-never-executed program image. Each
-	// Run clones it (one allocation per mapped page) instead of re-running
-	// the program builder, which keeps the per-request cost down in the
-	// validator hot path's allocation budget. proto itself is never
-	// executed or mutated after Prepare returns.
+	// run arena clones it once and restores from it between runs, instead
+	// of re-running the program builder. proto itself is never executed
+	// or mutated after Prepare returns.
 	proto *prog.Program
 	// Tables holds one immutable SharedTable per program module, in
-	// module order.
+	// module order (nil for a base run).
 	Tables []*SharedTable
 	// pf is the predictive signature prefetcher (PrepareRemote with
 	// RunConfig.Prefetch.Depth > 0 over wire-lookup sources); nil
@@ -81,56 +82,64 @@ type Prepared struct {
 	arenas  []*runArena
 }
 
-// Prepare performs the per-workload preparation of Run — profiling twin,
-// static analysis, CFG construction, signature-table build — once, and
-// freezes the result into an immutable Prepared. rc.REV must be non-nil
-// (preparing an unprotected run has nothing to share; call Run directly).
-//
-// The tables are assigned the same bases AddModule would assign
-// (consecutive page-aligned slots from prog.SigBase, in module order),
-// so miss-walk timing is identical between Run and Prepared.Run.
+// Prepare performs the per-workload preparation of Run once and freezes
+// the result into an immutable Prepared. It builds the pristine program
+// image; when rc.REV is set it also profiles a twin instance and builds
+// every module's signature table (buildTables). A base run (rc.REV nil)
+// keeps only the image: its instances run without an engine.
 func Prepare(build func() (*prog.Program, error), rc RunConfig) (*Prepared, error) {
-	if rc.REV == nil {
-		return nil, fmt.Errorf("core: Prepare requires rc.REV (nothing to share for a base run)")
-	}
 	if rc.MaxInstrs == 0 {
 		rc.MaxInstrs = 1_000_000
+	}
+	// The analysis instance is only read (static analysis + table build),
+	// so it is retained as the pristine clone prototype; the profiling
+	// twin is executed and discarded.
+	proto, err := build()
+	if err != nil {
+		return nil, fmt.Errorf("core: building program: %w", err)
+	}
+	p := &Prepared{rc: rc, proto: proto}
+	if rc.REV == nil {
+		return p, nil
 	}
 	profInstrs := rc.ProfileInstrs
 	if profInstrs == 0 {
 		profInstrs = rc.MaxInstrs
 	}
-
-	// The analysis instance is only read (static analysis + table build),
-	// so it is retained as the pristine clone prototype for Run; the
-	// profiling twin is executed and discarded.
-	analysis, err := build()
-	if err != nil {
-		return nil, fmt.Errorf("core: building program: %w", err)
-	}
 	twin, err := build()
 	if err != nil {
 		return nil, fmt.Errorf("core: building profiling twin: %w", err)
 	}
-	profiler, err := cfg.ProfileRun(twin, profInstrs)
+	profile, err := cfg.ProfileRun(twin, profInstrs)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling run: %w", err)
 	}
-	static := cfg.Analyze(analysis, cfg.DefaultAnalyzeOptions())
-	ks := crypt.NewKeyStore(crypt.DeriveKey(rc.KeySeed, "cpu-private"))
+	if p.Tables, err = buildTables(proto, profile, rc); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
-	p := &Prepared{rc: rc, proto: analysis}
+// buildTables is the trusted loader's per-module work (Sec. IV.B):
+// complete each module's reference CFG from the profile plus static
+// analysis of p (call/return pairing and jump-table recovery,
+// Sec. IV.D), build and encrypt its signature table under the module's
+// key, and freeze it into an immutable decrypted snapshot. Tables take
+// consecutive page-aligned bases from prog.SigBase in module order.
+func buildTables(p *prog.Program, profile *cfg.Profiler, rc RunConfig) ([]*SharedTable, error) {
+	static := cfg.Analyze(p, cfg.DefaultAnalyzeOptions())
+	ks := crypt.NewKeyStore(crypt.DeriveKey(rc.KeySeed, "cpu-private"))
+	tables := make([]*SharedTable, 0, len(p.Modules))
 	nextBase := prog.SigBase
-	for i, mod := range analysis.Modules {
+	for i, mod := range p.Modules {
 		bld := cfg.NewBuilder(mod, rc.REV.Limits)
-		profiler.Apply(bld)
+		profile.Apply(bld)
 		static.Apply(bld)
 		g, err := bld.Build()
 		if err != nil {
 			return nil, fmt.Errorf("core: CFG for %s: %w", mod.Name, err)
 		}
-		key := crypt.DeriveKey(rc.KeySeed, fmt.Sprintf("module-%d-%s", i, mod.Name))
-		tbl, img, err := sigtable.Build(g, rc.REV.Format, key, ks)
+		tbl, img, err := sigtable.Build(g, rc.REV.Format, tableKey(rc.KeySeed, i, mod.Name), ks)
 		if err != nil {
 			return nil, fmt.Errorf("core: building table for %s: %w", mod.Name, err)
 		}
@@ -139,7 +148,7 @@ func Prepare(build func() (*prog.Program, error), rc RunConfig) (*Prepared, erro
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshotting table for %s: %w", mod.Name, err)
 		}
-		p.Tables = append(p.Tables, &SharedTable{
+		tables = append(tables, &SharedTable{
 			Module: mod.Name,
 			Start:  mod.Base,
 			Limit:  mod.Limit(),
@@ -148,7 +157,13 @@ func Prepare(build func() (*prog.Program, error), rc RunConfig) (*Prepared, erro
 		})
 		nextBase += sigtable.SigBaseAlign(tbl.Size)
 	}
-	return p, nil
+	return tables, nil
+}
+
+// tableKey derives the i-th module's signature-table key from the run's
+// key seed.
+func tableKey(seed uint64, i int, module string) crypt.TableKey {
+	return crypt.DeriveKey(seed, fmt.Sprintf("module-%d-%s", i, module))
 }
 
 // TableProvider resolves a module name to its signature-table metadata
@@ -180,9 +195,9 @@ type TableProvider interface {
 // tables were built (e.g. inside revserved).
 //
 // A fleet over a PrepareRemote Prepared behaves exactly like one over
-// Prepare: Prepared.Run / RunWithLanes / RunWithTelemetry all work
-// unchanged, and verdicts/figures are byte-identical to the in-process
-// snapshot path as long as the provider serves the same tables.
+// Prepare: RunInstance works unchanged, and verdicts/figures are
+// byte-identical to the in-process snapshot path as long as the
+// provider serves the same tables.
 func PrepareRemote(build func() (*prog.Program, error), rc RunConfig, tp TableProvider) (*Prepared, error) {
 	if rc.REV == nil {
 		return nil, fmt.Errorf("core: PrepareRemote requires rc.REV (nothing to validate for a base run)")
@@ -299,148 +314,74 @@ func (p *Prepared) PrefetchStats() (prefetch.Stats, bool) {
 // Config returns a copy of the RunConfig the workload was prepared with.
 func (p *Prepared) Config() RunConfig { return p.rc }
 
-// InstanceOptions selects the per-instance knobs of one RunInstance
-// call. The zero value runs serially with the default batch, no
-// telemetry, and no evidence — options are the complete instance spec,
-// not deltas against the prepared RunConfig (the Run/RunWith* wrappers
-// fill in the prepared defaults).
+// InstanceOptions is the complete per-instance spec of one RunInstance
+// call. The zero value runs serially with no telemetry and no evidence;
+// the Prepared's RunConfig never supplies these settings (core.Run maps
+// its own RunConfig onto them).
 type InstanceOptions struct {
 	// Lanes is the intra-run pipeline width (semantics as
 	// RunConfig.Lanes: <0 auto, 0 serial, n>=1 lanes).
 	Lanes int
-	// Batch is the publish/retire granularity (semantics as
-	// RunConfig.Batch: 0 selects DefaultPublishBatch).
-	Batch int
 	// Telemetry attaches the instance to a metrics registry and/or trace
-	// recorder. Telemetry-enabled instances take the fresh-build path
-	// (registry views snapshot per-run structures), so they are not
-	// allocation-free; results are byte-identical either way.
+	// recorder. A labeled Set gives each tenant its own trace tracks while
+	// metric registrations land in the shared registry cells (the merged
+	// fleet view). Telemetry-enabled instances allocate for handle
+	// resolution and their run-end registry view, never per block;
+	// results are byte-identical either way.
 	Telemetry *telemetry.Set
 	// Evidence streams the instance's attestation evidence. Emitters are
-	// single-use: pass a fresh one per instance.
+	// single-use: pass a fresh one per instance. Every instance of the
+	// same Prepared produces a byte-identical stream.
 	Evidence *evidence.Emitter
 	// Out, when non-nil, receives the result in place of a fresh
 	// allocation. Reusing one Result (and its Output backing) across
-	// calls makes steady-state instance runs perform zero heap
+	// calls makes steady-state serial instance runs perform zero heap
 	// allocations (pinned by TestRunInstanceZeroAllocs). The previous
 	// contents are overwritten; the Result is valid until the caller
 	// passes it to another run.
 	Out *Result
 }
 
-// RunInstance executes one instance of the prepared workload with
-// explicit per-instance options. Safe to call from many goroutines
-// concurrently — each concurrent call owns a private run arena, and
-// instances share only the immutable Prepared state.
+// RunInstance executes one instance of the prepared workload. Safe to
+// call from many goroutines concurrently — each concurrent call owns a
+// private run arena, and instances share only the immutable Prepared
+// state.
 //
 // Steady state reuses a run arena (arena.go): the cloned program and
-// every per-run structure are reset in place rather than rebuilt, so a
-// call with Out set allocates nothing after warmup. Results, verdicts,
-// forensics, and evidence streams are byte-identical to a fresh build.
+// every per-run structure are reset in place rather than rebuilt.
+// Results, verdicts, forensics, and evidence streams are byte-identical
+// to a fresh build.
 func (p *Prepared) RunInstance(o InstanceOptions) (*Result, error) {
 	res := o.Out
 	if res == nil {
 		res = &Result{}
 	}
 	rc := p.rc
-	rc.Lanes = o.Lanes
-	rc.Batch = o.Batch
-	rc.Telemetry = o.Telemetry
-	rc.Evidence = o.Evidence
-	if err := p.runInstanceInto(rc, res); err != nil {
+	rc.Lanes, rc.Telemetry, rc.Evidence = o.Lanes, o.Telemetry, o.Evidence
+	a, err := p.acquireArena()
+	if err != nil {
+		return nil, err
+	}
+	defer p.releaseArena(a)
+	if err := a.runInto(rc, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// Run executes one instance of the prepared workload over a reused run
-// arena (fresh program state, reset engine, the shared tables). Safe to
-// call from many goroutines concurrently — instances share only the
-// immutable Prepared state.
-func (p *Prepared) Run() (*Result, error) {
-	return p.RunInstance(InstanceOptions{
-		Lanes: p.rc.Lanes, Batch: p.rc.Batch,
-		Telemetry: p.rc.Telemetry, Evidence: p.rc.Evidence,
-	})
-}
-
-// RunWithLanes is Run with an explicit intra-run pipeline width,
-// overriding the prepared RunConfig.Lanes for this instance only
-// (semantics as RunConfig.Lanes: <0 auto, 0 serial, n>=1 lanes). The
-// Prepare path's immutable snapshot readers are exactly what the
-// pipelined executor requires, so any lane count is safe here; results
-// are byte-identical at every setting.
-func (p *Prepared) RunWithLanes(lanes int) (*Result, error) {
-	return p.RunInstance(InstanceOptions{
-		Lanes: lanes, Batch: p.rc.Batch,
-		Telemetry: p.rc.Telemetry, Evidence: p.rc.Evidence,
-	})
-}
-
-// RunWithTelemetry is Run with a per-instance telemetry Set, overriding
-// the prepared RunConfig.Telemetry for this instance only. A labeled Set
-// gives each tenant its own trace tracks while metric registrations land
-// in the shared registry cells (the merged fleet view).
-func (p *Prepared) RunWithTelemetry(set *telemetry.Set) (*Result, error) {
-	return p.RunInstance(InstanceOptions{
-		Lanes: p.rc.Lanes, Batch: p.rc.Batch,
-		Telemetry: set, Evidence: p.rc.Evidence,
-	})
-}
-
-// RunWithEvidence is Run with a per-instance evidence emitter,
-// overriding the prepared RunConfig.Evidence for this instance only.
-// Emitters are single-use, so a fleet streams evidence by handing each
-// instance its own emitter here; every instance of the same Prepared
-// produces a byte-identical stream (modulo the writer it lands in).
-func (p *Prepared) RunWithEvidence(em *evidence.Emitter) (*Result, error) {
-	return p.RunInstance(InstanceOptions{
-		Lanes: p.rc.Lanes, Batch: p.rc.Batch,
-		Telemetry: p.rc.Telemetry, Evidence: em,
-	})
-}
-
-// runInstanceInto executes one instance of the prepared workload into
-// res. Page-shadowing and telemetry-enabled instances build fresh parts
-// (see arena.go for why); everything else runs over a reused arena.
-func (p *Prepared) runInstanceInto(rc RunConfig, res *Result) error {
-	if rc.PageShadowing || rc.Telemetry.Enabled() {
-		measured := p.proto.Clone()
-		parts := assemble(measured, rc)
-		ks := crypt.NewKeyStore(crypt.DeriveKey(rc.KeySeed, "cpu-private"))
-		engine := NewEngine(*rc.REV, parts.space, parts.hier, ks)
-		for _, st := range p.Tables {
-			if err := engine.AddSharedModule(st); err != nil {
-				return fmt.Errorf("core: sharing table for %s: %w", st.Module, err)
-			}
-		}
-		parts.attach(engine, rc)
-		*res = Result{}
-		return executeInto(parts, rc, res)
-	}
-	a, err := p.acquireArena()
-	if err != nil {
-		return err
-	}
-	defer p.releaseArena(a)
-	return a.runInto(rc, res)
-}
-
-// AddSharedModule registers a prebuilt, immutable signature-table
-// snapshot with the engine — the fleet path that skips the per-engine
-// table build and RAM install. The engine still watches the module's
-// text range for self-modifying-code memo invalidation, and the
-// snapshot's frozen base keeps miss-walk timing identical to an
-// installed table.
+// AddSharedModule registers a prebuilt, immutable signature table with
+// the engine and loads its SAG register group — the trusted loader's
+// last step before execution (Sec. IV.B). The engine watches the
+// module's text range for self-modifying-code memo invalidation, and the
+// table's frozen base sets the record addresses its miss walks charge to
+// the memory hierarchy.
 func (e *Engine) AddSharedModule(st *SharedTable) error {
 	e.Tables = append(e.Tables, st.Table)
-	// Keep the loader cursor in lockstep with AddModule so mixing shared
-	// and private tables never overlaps bases.
-	end := st.Table.Base + sigtable.SigBaseAlign(st.Table.Size)
-	if end > e.nextSigBase {
-		e.nextSigBase = end
-	}
 	if e.cv != nil {
+		// Any store landing inside the module's text bumps the
+		// code-version epoch and invalidates memoized signatures
+		// (self-modifying code, injection into existing code pages).
+		// Limit addresses the final instruction; its bytes extend a word.
 		e.cv.WatchCode(st.Start, st.Limit+uint64(isa.WordSize)-1)
 	}
 	src := st.Source()

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"rev/internal/branch"
-	"rev/internal/cfg"
 	"rev/internal/cpu"
-	"rev/internal/crypt"
 	"rev/internal/evidence"
 	"rev/internal/forensics"
 	"rev/internal/isa"
@@ -68,7 +66,7 @@ type RunConfig struct {
 	// rc.REV. The stream is byte-identical across serial, fleet, lanes,
 	// and remote configurations — it depends only on the committed
 	// instruction stream. An Emitter is single-use, so fleet callers
-	// should pass per-instance emitters via Prepared.RunWithEvidence
+	// pass per-instance emitters through InstanceOptions.Evidence
 	// rather than sharing one here.
 	Evidence *evidence.Emitter
 	// Lanes selects the intra-run validation pipeline (pipeline.go):
@@ -76,23 +74,8 @@ type RunConfig struct {
 	// keeps the classic serial loop, and n >= 1 overlaps the functional
 	// machine, n async CHG hash lanes, and the timing model across
 	// goroutines. Results are byte-identical at any setting; only
-	// simulator wall time changes. Protected runs with lanes route
-	// through the Prepare path so validation reads immutable table
-	// snapshots instead of live simulated memory.
+	// simulator wall time changes.
 	Lanes int
-	// Batch sets the pipelined executor's publish/retire granularity: the
-	// producer makes committed-block records visible to the hash lanes in
-	// groups of up to Batch, the consumer frees retired ring slots in
-	// matching strides, and each lane publishes its progress counter once
-	// per Batch records — amortizing the per-block cross-core
-	// synchronization that otherwise dominates at high lane counts. The
-	// producer still flushes early whenever the downstream stages are
-	// starved, so latency never trails throughput. 0 selects
-	// DefaultPublishBatch; values are clamped to half the ring so the
-	// pipeline always overlaps. Results are byte-identical at any setting
-	// (in-order retirement and the SMC epoch fence are preserved); only
-	// wall-clock scaling changes. Ignored by serial (Lanes = 0) runs.
-	Batch int
 }
 
 // noVersionSpace forwards an AddressSpace while hiding any CodeVersioner
@@ -153,9 +136,10 @@ type SCView struct {
 // IPC is shorthand for the pipeline IPC.
 func (r *Result) IPC() float64 { return r.Pipe.IPC() }
 
-// parts bundles the per-run microarchitectural state assembled for one
-// measured execution. Every field is built fresh per run and owned by
-// exactly one goroutine (see docs/CONCURRENCY.md).
+// parts bundles the microarchitectural state of one measured execution.
+// A run arena (arena.go) builds it once and resets it in place between
+// instances; it is owned by exactly one goroutine at a time (see
+// docs/CONCURRENCY.md).
 type parts struct {
 	hier      *mem.Hierarchy
 	pred      *branch.Predictor
@@ -166,13 +150,13 @@ type parts struct {
 	engine    *Engine
 	tel       *runTelemetry
 	// rig caches the pipelined executor's ring, pooled slots, and lane
-	// pools across runs of the same parts (the run-arena reuse path);
-	// executePipelined builds it on first use.
+	// pools across runs of the same parts; executePipelined builds it on
+	// first use.
 	rig *pipeRun
 }
 
 // assemble builds the hierarchy, predictor, pipeline, (possibly shadowed)
-// address space and functional machine for a fresh program instance.
+// address space and functional machine over a program instance.
 func assemble(measured *prog.Program, rc RunConfig) *parts {
 	p := &parts{
 		hier: mem.New(rc.Mem),
@@ -201,92 +185,27 @@ func (p *parts) attach(engine *Engine, rc RunConfig) {
 	p.pipe.Cfg.MaxBBStores = rc.REV.Limits.MaxStores
 }
 
-// Run executes a workload. The builder must deterministically construct a
-// fresh program instance on each call: one instance is consumed by the
-// profiling run that discovers computed-control-flow targets (the paper's
-// profiling pass, Sec. IV.D) and a pristine instance is used for the
-// measured run.
+// Run executes a workload: Prepare, then one RunInstance with rc's
+// Lanes, Telemetry and Evidence. The builder must deterministically
+// construct a fresh program instance on each call: Prepare keeps one as
+// the pristine image the measured instance is cloned from and, when
+// rc.REV is set, executes a twin in the profiling pass that discovers
+// computed-control-flow targets (the paper's profiling pass, Sec. IV.D).
 //
-// Run performs the whole trusted-loader pipeline — profiling, static
-// analysis, signature-table build — on every call. When many runs share
-// one protected workload (a validation fleet), use Prepare once and
-// Prepared.Run per instance instead.
+// Run repeats the trusted-loader work — profiling, static analysis,
+// signature-table build — on every call. When many runs share one
+// workload (a validation fleet), Prepare once and call
+// Prepared.RunInstance per instance instead.
 func Run(build func() (*prog.Program, error), rc RunConfig) (*Result, error) {
-	if rc.MaxInstrs == 0 {
-		rc.MaxInstrs = 1_000_000
-	}
-	profInstrs := rc.ProfileInstrs
-	if profInstrs == 0 {
-		profInstrs = rc.MaxInstrs
-	}
-
-	if rc.REV != nil && resolveLanes(rc.Lanes) > 0 {
-		// Pipelined protected runs validate on a goroutine that races the
-		// functional machine for the simulated address space; reroute
-		// through Prepare so the engine reads immutable decrypted table
-		// snapshots instead of tables installed in live simulated memory
-		// (identical results either way — PR 2's shared-table identity).
-		prep, err := Prepare(build, rc)
-		if err != nil {
-			return nil, err
-		}
-		return prep.Run()
-	}
-
-	measured, err := build()
+	p, err := Prepare(build, rc)
 	if err != nil {
-		return nil, fmt.Errorf("core: building program: %w", err)
-	}
-
-	p := assemble(measured, rc)
-	if rc.REV != nil {
-		// Profile a twin instance so the measured instance's memory stays
-		// pristine.
-		twin, err := build()
-		if err != nil {
-			return nil, fmt.Errorf("core: building profiling twin: %w", err)
-		}
-		profiler, err := cfg.ProfileRun(twin, profInstrs)
-		if err != nil {
-			return nil, fmt.Errorf("core: profiling run: %w", err)
-		}
-		// Static binary analysis complements profiling: call/return pairing
-		// and jump-table target recovery (Sec. IV.D).
-		static := cfg.Analyze(measured, cfg.DefaultAnalyzeOptions())
-		ks := crypt.NewKeyStore(crypt.DeriveKey(rc.KeySeed, "cpu-private"))
-		engine := NewEngine(*rc.REV, p.space, p.hier, ks)
-		for i, mod := range measured.Modules {
-			bld := cfg.NewBuilder(mod, rc.REV.Limits)
-			profiler.Apply(bld)
-			static.Apply(bld)
-			g, err := bld.Build()
-			if err != nil {
-				return nil, fmt.Errorf("core: CFG for %s: %w", mod.Name, err)
-			}
-			key := crypt.DeriveKey(rc.KeySeed, fmt.Sprintf("module-%d-%s", i, mod.Name))
-			if err := engine.AddModule(g, key); err != nil {
-				return nil, fmt.Errorf("core: protecting %s: %w", mod.Name, err)
-			}
-		}
-		p.attach(engine, rc)
-	}
-	return execute(p, rc)
-}
-
-// execute drives the measured run to completion and assembles the Result.
-// Callers with rc.REV != nil and lanes requested must have attached an
-// engine whose table readers are immutable snapshots (the Prepare path);
-// Run enforces this by rerouting through Prepare.
-func execute(p *parts, rc RunConfig) (*Result, error) {
-	res := &Result{}
-	if err := executeInto(p, rc, res); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return p.RunInstance(InstanceOptions{Lanes: rc.Lanes, Telemetry: rc.Telemetry, Evidence: rc.Evidence})
 }
 
-// executeInto is execute writing into a caller-provided Result, the
-// allocation-free seam the run-arena path needs (arena.go). On error the
+// executeInto attaches the run's telemetry and evidence, drives the
+// measured execution, and writes the figures into res. On error the
 // contents of res are unspecified.
 func executeInto(p *parts, rc RunConfig, res *Result) error {
 	// Resolve telemetry once per run: nil handles when disabled, so every
@@ -294,9 +213,6 @@ func executeInto(p *parts, rc RunConfig, res *Result) error {
 	p.tel = newRunTelemetry(rc.Telemetry)
 	if p.engine != nil {
 		p.engine.tel = p.tel
-	}
-	if p.tel != nil {
-		registerRunViews(p, rc.Telemetry)
 	}
 	if rc.Evidence != nil {
 		if p.engine == nil {
@@ -308,6 +224,9 @@ func executeInto(p *parts, rc RunConfig, res *Result) error {
 		p.engine.ev = rc.Evidence
 	}
 	err := executeMeasured(p, rc, res)
+	if p.tel != nil {
+		registerRunViews(p, rc.Telemetry)
+	}
 	if rc.Evidence != nil {
 		p.engine.ev = nil
 		outRes := res
@@ -341,27 +260,17 @@ func evidenceOutcome(res *Result, err error) evidence.Outcome {
 }
 
 // executeMeasured runs the measured execution loop — serial or
-// pipelined — after execute has attached telemetry and evidence, writing
-// the figures into the caller's res.
+// pipelined — after executeInto has attached telemetry and evidence,
+// writing the figures into the caller's res.
 //
 // res.Output aliases the functional machine's output backing; the arena
-// reuse path copies it out before the machine is reset (arena.go), while
-// the fresh-build paths hand the machine's backing to the caller as the
-// machine is never touched again.
+// copies it out before the machine is reset for its next run (arena.go).
 func executeMeasured(p *parts, rc RunConfig, res *Result) error {
 	if lanes := resolveLanes(rc.Lanes); lanes > 0 {
 		return executePipelined(p, rc, lanes, res)
 	}
 	mach, pipe, hier, pred := p.mach, p.pipe, p.hier, p.pred
 	engine, shadowMem := p.engine, p.shadowMem
-	if rc.AttackHook != nil && mach.BeforeStep == nil {
-		// The arena path pre-binds this closure once (arena.go) so reused
-		// runs stay allocation-free; only fresh builds reach this install.
-		// Capture the hook alone, not rc — a closure over rc would move the
-		// whole RunConfig to the heap on every call, taken branch or not.
-		hook := rc.AttackHook
-		mach.BeforeStep = func(pc uint64, in isa.Instr) { hook(mach, pc, in) }
-	}
 	if shadowMem != nil {
 		shadowMem.Begin()
 	}

@@ -13,6 +13,11 @@
 package core
 
 import (
+	"rev/internal/branch"
+	"rev/internal/cpu"
+	"rev/internal/mem"
+	"rev/internal/sigcache"
+	"rev/internal/sigtable"
 	"rev/internal/telemetry"
 )
 
@@ -211,51 +216,73 @@ func (lt *laneTelemetry) JobEnd(lane int, hashed, memoHit bool) {
 	}
 }
 
-// registerRunViews registers one snapshot-time view publishing the run's
-// legacy Stats structs — pipeline, branch, memory hierarchy, and (when
+// runFigures is a by-value copy of one finished run's figure structs:
+// what its registry view publishes.
+type runFigures struct {
+	pipe   cpu.PipeStats
+	branch branch.Stats
+	hier   mem.HierarchyStats
+	// Protected runs only.
+	protected bool
+	engine    Stats
+	sc        sigcache.Stats
+	tables    []*sigtable.Table
+}
+
+// registerRunViews registers one snapshot-time view publishing a finished
+// run's figures — pipeline, branch, memory hierarchy, and (when
 // protected) engine, SC, and table layout — into the registry. The
-// structs stay the figure source of truth; the view reads them on
-// demand, and several runs' views reporting the same names are summed by
-// the registry (the merge plumbing that replaced per-field aggregation
-// loops in the fleet and tenant paths). Views must only be snapshotted
-// when the run is quiescent; see telemetry.View.
+// structs stay the figure source of truth; the view reads copies taken
+// here, at run end, never the structs themselves, which a run arena
+// resets and refills for its next instance. Several runs' views
+// reporting the same names are summed by the registry (the merge
+// plumbing that replaced per-field aggregation loops in the fleet and
+// tenant paths), so N instances report exactly N times one instance's
+// figures.
 func registerRunViews(p *parts, set *telemetry.Set) {
 	reg := set.Registry()
 	if reg == nil {
 		return
 	}
-	pipe, pred, hier, engine := p.pipe, p.pred, p.hier, p.engine
-	reg.RegisterView(func(o telemetry.Observer) {
-		ps := pipe.Stats
-		o.ObserveCounter("cpu.instrs", ps.Instrs)
-		o.ObserveCounter("cpu.cycles", ps.Cycles)
-		o.ObserveCounter("cpu.blocks", ps.BBCount)
-		o.ObserveCounter("cpu.branches", ps.CommittedBranches)
-		o.ObserveCounter("cpu.mispredicts", ps.Mispredicts)
-		o.ObserveCounter("cpu.validation_stall_cycles", ps.ValidationStallCycles)
-		o.ObserveCounter("cpu.interrupts", ps.Interrupts)
-		o.ObserveCounter("cpu.interrupt_defer_cycles", ps.InterruptDeferCycles)
-		bs := pred.Stats
-		o.ObserveCounter("branch.cond_predicts", bs.CondPredicts)
-		o.ObserveCounter("branch.cond_mispredicts", bs.CondMispredicts)
-		o.ObserveCounter("branch.target_predicts", bs.TargetPredicts)
-		o.ObserveCounter("branch.target_mispredicts", bs.TargetMispredicts)
-		o.ObserveCounter("branch.ras_predicts", bs.RASPredicts)
-		o.ObserveCounter("branch.ras_mispredicts", bs.RASMispredicts)
-		hier.EmitTelemetry(o, "mem")
-		if engine != nil {
-			es := engine.Stats
-			o.ObserveCounter("rev.engine.validated_blocks", es.ValidatedBlocks)
-			o.ObserveCounter("rev.engine.skipped_disabled", es.SkippedDisabled)
-			o.ObserveCounter("rev.engine.ram_lookups", es.RAMLookups)
-			o.ObserveCounter("rev.engine.records_touched", es.RecordsTouched)
-			o.ObserveCounter("rev.engine.sag_penalties", es.SAGPenalties)
-			o.ObserveCounter("rev.engine.memo_hits", es.MemoHits)
-			o.ObserveCounter("rev.engine.memo_misses", es.MemoMisses)
-			engine.SC.Stats.EmitTelemetry(o, "rev.sc")
-			for _, tbl := range engine.Tables {
-				tbl.EmitTelemetry(o, "rev.sigtable")
-			}
+	f := &runFigures{pipe: p.pipe.Stats, branch: p.pred.Stats, hier: p.hier.Stats()}
+	if e := p.engine; e != nil {
+		f.protected = true
+		f.engine, f.sc, f.tables = e.Stats, e.SC.Stats, e.Tables
+	}
+	reg.RegisterView(f.emit)
+}
+
+// emit is the view body (telemetry.View).
+func (f *runFigures) emit(o telemetry.Observer) {
+	ps := &f.pipe
+	o.ObserveCounter("cpu.instrs", ps.Instrs)
+	o.ObserveCounter("cpu.cycles", ps.Cycles)
+	o.ObserveCounter("cpu.blocks", ps.BBCount)
+	o.ObserveCounter("cpu.branches", ps.CommittedBranches)
+	o.ObserveCounter("cpu.mispredicts", ps.Mispredicts)
+	o.ObserveCounter("cpu.validation_stall_cycles", ps.ValidationStallCycles)
+	o.ObserveCounter("cpu.interrupts", ps.Interrupts)
+	o.ObserveCounter("cpu.interrupt_defer_cycles", ps.InterruptDeferCycles)
+	bs := &f.branch
+	o.ObserveCounter("branch.cond_predicts", bs.CondPredicts)
+	o.ObserveCounter("branch.cond_mispredicts", bs.CondMispredicts)
+	o.ObserveCounter("branch.target_predicts", bs.TargetPredicts)
+	o.ObserveCounter("branch.target_mispredicts", bs.TargetMispredicts)
+	o.ObserveCounter("branch.ras_predicts", bs.RASPredicts)
+	o.ObserveCounter("branch.ras_mispredicts", bs.RASMispredicts)
+	f.hier.EmitTelemetry(o, "mem")
+	if f.protected {
+		es := &f.engine
+		o.ObserveCounter("rev.engine.validated_blocks", es.ValidatedBlocks)
+		o.ObserveCounter("rev.engine.skipped_disabled", es.SkippedDisabled)
+		o.ObserveCounter("rev.engine.ram_lookups", es.RAMLookups)
+		o.ObserveCounter("rev.engine.records_touched", es.RecordsTouched)
+		o.ObserveCounter("rev.engine.sag_penalties", es.SAGPenalties)
+		o.ObserveCounter("rev.engine.memo_hits", es.MemoHits)
+		o.ObserveCounter("rev.engine.memo_misses", es.MemoMisses)
+		f.sc.EmitTelemetry(o, "rev.sc")
+		for _, tbl := range f.tables {
+			tbl.EmitTelemetry(o, "rev.sigtable")
 		}
-	})
+	}
 }

@@ -28,7 +28,7 @@ func TestTelemetryByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := prep.RunWithTelemetry(nil)
+	base, err := prep.RunInstance(InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestTelemetryByteIdentity(t *testing.T) {
 		{"metrics+trace", telSet(1 << 12)},
 	}
 	for _, c := range configs {
-		got, err := prep.RunWithTelemetry(c.set)
+		got, err := prep.RunInstance(InstanceOptions{Telemetry: c.set})
 		if err != nil {
 			t.Fatalf("%s: %v", c.tag, err)
 		}
@@ -76,13 +76,12 @@ func TestTelemetryLaneTracks(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.MaxInstrs = 60_000
 	rc.REV = revConfig(sigtable.Normal, 32)
-	rc.Lanes = 4
 	prep, err := Prepare(wl.Builder(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	set := telSet(1 << 14)
-	res, err := prep.RunWithTelemetry(set)
+	res, err := prep.RunInstance(InstanceOptions{Lanes: 4, Telemetry: set})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestTelemetryEpochFenceEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := prep.RunWithLanes(0)
+	serial, err := prep.RunInstance(InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +220,13 @@ func TestTelemetryAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := telSet(1 << 12)
-	if _, err := prep.RunWithTelemetry(set); err != nil { // warm-up
+	if _, err := prep.RunInstance(InstanceOptions{Telemetry: set}); err != nil { // warm-up
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := prep.RunWithTelemetry(set)
+	res, err := prep.RunInstance(InstanceOptions{Telemetry: set})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

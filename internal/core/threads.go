@@ -6,7 +6,6 @@ import (
 	"rev/internal/branch"
 	"rev/internal/cfg"
 	"rev/internal/cpu"
-	"rev/internal/crypt"
 	"rev/internal/isa"
 	"rev/internal/mem"
 	"rev/internal/prog"
@@ -102,19 +101,13 @@ func RunThreads(build func() (*prog.Program, error), entries []string, trc Threa
 				return nil, fmt.Errorf("core: profiling thread %q: %w", name, err)
 			}
 		}
-		static := cfg.Analyze(measured, cfg.DefaultAnalyzeOptions())
-		ks := crypt.NewKeyStore(crypt.DeriveKey(rc.KeySeed, "cpu-private"))
-		engine = NewEngine(*rc.REV, measured.Mem, hier, ks)
-		for i, mod := range measured.Modules {
-			bld := cfg.NewBuilder(mod, rc.REV.Limits)
-			profiler.Apply(bld)
-			static.Apply(bld)
-			g, err := bld.Build()
-			if err != nil {
-				return nil, err
-			}
-			key := crypt.DeriveKey(rc.KeySeed, fmt.Sprintf("module-%d-%s", i, mod.Name))
-			if err := engine.AddModule(g, key); err != nil {
+		tables, err := buildTables(measured, profiler, rc)
+		if err != nil {
+			return nil, err
+		}
+		engine = NewEngine(*rc.REV, measured.Mem, hier)
+		for _, st := range tables {
+			if err := engine.AddSharedModule(st); err != nil {
 				return nil, err
 			}
 		}
@@ -125,7 +118,8 @@ func RunThreads(build func() (*prog.Program, error), entries []string, trc Threa
 		engine.tel = tel
 	}
 	if tel != nil {
-		registerRunViews(&parts{hier: hier, pred: pred, pipe: pipe, engine: engine}, rc.Telemetry)
+		// Publish the figures once the run is over, whichever way it ends.
+		defer registerRunViews(&parts{hier: hier, pred: pred, pipe: pipe, engine: engine}, rc.Telemetry)
 	}
 	if rc.Evidence != nil {
 		if engine == nil {

@@ -33,14 +33,32 @@ func (s *TLBStats) EmitTelemetry(o telemetry.Observer, prefix string) {
 	o.ObserveCounter(prefix+".misses", s.Misses)
 }
 
+// HierarchyStats is a by-value copy of every level's counters, for
+// readers that must not alias a hierarchy that keeps running or is
+// reset for reuse.
+type HierarchyStats struct {
+	L1I, L1D, L2      CacheStats
+	DRAM              DRAMStats
+	ITLB, DTLB, L2TLB TLBStats
+}
+
+// Stats copies every level's counters.
+func (h *Hierarchy) Stats() HierarchyStats {
+	return HierarchyStats{
+		L1I: h.L1I.Stats, L1D: h.L1D.Stats, L2: h.L2.Stats,
+		DRAM: h.DRAM.Stats,
+		ITLB: h.ITLB.Stats, DTLB: h.DTLB.Stats, L2TLB: h.L2TLB.Stats,
+	}
+}
+
 // EmitTelemetry publishes every level of the hierarchy under prefix
 // (e.g. "mem"): the split L1s, the unified L2, DRAM, and all TLBs.
-func (h *Hierarchy) EmitTelemetry(o telemetry.Observer, prefix string) {
-	h.L1I.Stats.EmitTelemetry(o, prefix+".l1i")
-	h.L1D.Stats.EmitTelemetry(o, prefix+".l1d")
-	h.L2.Stats.EmitTelemetry(o, prefix+".l2")
-	h.DRAM.Stats.EmitTelemetry(o, prefix+".dram")
-	h.ITLB.Stats.EmitTelemetry(o, prefix+".itlb")
-	h.DTLB.Stats.EmitTelemetry(o, prefix+".dtlb")
-	h.L2TLB.Stats.EmitTelemetry(o, prefix+".l2tlb")
+func (s *HierarchyStats) EmitTelemetry(o telemetry.Observer, prefix string) {
+	s.L1I.EmitTelemetry(o, prefix+".l1i")
+	s.L1D.EmitTelemetry(o, prefix+".l1d")
+	s.L2.EmitTelemetry(o, prefix+".l2")
+	s.DRAM.EmitTelemetry(o, prefix+".dram")
+	s.ITLB.EmitTelemetry(o, prefix+".itlb")
+	s.DTLB.EmitTelemetry(o, prefix+".dtlb")
+	s.L2TLB.EmitTelemetry(o, prefix+".l2tlb")
 }

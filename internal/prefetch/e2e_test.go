@@ -45,7 +45,7 @@ func e2eSetup(t *testing.T) (prof workload.Profile, rc core.RunConfig, localSig 
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := prep.Run()
+	local, err := prep.RunInstance(core.InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPrefetchRunByteIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer prep.Close()
-				res, err := prep.Run()
+				res, err := prep.RunInstance(core.InstanceOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -144,7 +144,7 @@ func TestPrefetchSurvivesServerDeath(t *testing.T) {
 	defer prep.Close()
 	srv.FaultAfter(10) // let a few frames through, then "die"
 
-	res, err := prep.Run()
+	res, err := prep.RunInstance(core.InstanceOptions{})
 	if err != nil {
 		t.Fatalf("degraded prefetching run must still complete: %v", err)
 	}

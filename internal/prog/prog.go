@@ -126,8 +126,8 @@ func NewProgram() *Program {
 // mapped memory page is copied, so the clone may be executed, attacked, or
 // self-modified without the source observing anything. Cloning a prepared
 // image costs one allocation per mapped page, orders of magnitude cheaper
-// than re-running the program builder; Prepared.Run relies on this for its
-// per-request fresh-instance guarantee.
+// than re-running the program builder; each run arena of a core.Prepared
+// clones its prototype this way once and then restores in place.
 func (p *Program) Clone() *Program {
 	return &Program{
 		Modules:  append([]*Module(nil), p.Modules...),
@@ -368,13 +368,14 @@ func (mm *Memory) ResetFrom(src *Memory) {
 			mm.pages[pn] = np
 		}
 	}
-	mm.watch.reset()
+	mm.watch.Reset()
 	mm.lastPN, mm.lastPG = 0, nil
 }
 
-// reset returns the watch to its post-NewMemory state, keeping the grown
-// ranges backing so re-registration does not allocate.
-func (w *CodeWatch) reset() {
+// Reset returns the watch to its post-NewMemory state — no ranges, epoch
+// zero — keeping the grown ranges backing so re-registration does not
+// allocate.
+func (w *CodeWatch) Reset() {
 	w.lo, w.hi = ^uint64(0), 0
 	w.ranges = w.ranges[:0]
 	w.version = 0

@@ -67,6 +67,17 @@ func (m *Memory) CodeVersion() uint64 { return m.watch.Version() }
 // Backing exposes the wrapped memory (reads of unshadowed pages go there).
 func (m *Memory) Backing() *prog.Memory { return m.backing }
 
+// Reset returns the memory to its post-New state over a backing the
+// caller has restored (the run-arena reuse path): an open epoch is
+// dropped with its shadow pages, the statistics zero, and the code watch
+// clears for the engine to re-arm.
+func (m *Memory) Reset() {
+	clear(m.shadows)
+	m.open = false
+	m.watch.Reset()
+	m.Stats = Stats{}
+}
+
 // Begin opens a new epoch. Writes from now on go to shadow pages.
 func (m *Memory) Begin() {
 	if m.open {

@@ -28,7 +28,7 @@ func resultSig(res *core.Result) string {
 // in-process snapshot path.
 func TestRemoteRunByteIdentity(t *testing.T) {
 	f := fixture(t)
-	local, err := f.prep.Run()
+	local, err := f.prep.RunInstance(core.InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRemoteRunByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := prep.Run()
+			res, err := prep.RunInstance(core.InstanceOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestRemoteRunByteIdentity(t *testing.T) {
 // A transport fault must never become a violation or a silent pass.
 func TestRemoteRunDegradesOnServerDeath(t *testing.T) {
 	f := fixture(t)
-	local, err := f.prep.Run()
+	local, err := f.prep.RunInstance(core.InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRemoteRunDegradesOnServerDeath(t *testing.T) {
 	}
 	srv.FaultAfter(10) // let a few lookups through, then "die"
 
-	res, err := prep.Run()
+	res, err := prep.RunInstance(core.InstanceOptions{})
 	if err != nil {
 		t.Fatalf("degraded run must still complete: %v", err)
 	}

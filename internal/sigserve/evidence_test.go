@@ -194,7 +194,7 @@ func TestEvidenceRemoteByteIdentity(t *testing.T) {
 		t.Helper()
 		var buf bytes.Buffer
 		em := evidence.NewEmitter(&buf, evidence.Config{Tenant: "default", Binding: "e2e"})
-		res, err := prep.RunWithEvidence(em)
+		res, err := prep.RunInstance(core.InstanceOptions{Evidence: em})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -274,7 +274,19 @@ func TestTenantRowsBounded(t *testing.T) {
 		c.Close()
 	}
 
-	snap := reg.Snapshot()
+	// Every ping must land somewhere: 4 rows + overflow absorb all 10
+	// connections' pings. The server counts each request after its reply,
+	// so wait for the last one.
+	snap := waitFor(t, "every ping in the tenant rows", func() (*telemetry.Snapshot, bool) {
+		snap := reg.Snapshot()
+		var pings uint64
+		for name, v := range snap.Counters {
+			if strings.HasPrefix(name, "sigserve_tenant.") && strings.HasSuffix(name, ".req.ping_total") {
+				pings += v
+			}
+		}
+		return snap, pings == uint64(len(names))
+	})
 	rows := map[string]bool{}
 	for name := range snap.Counters {
 		if rest, ok := strings.CutPrefix(name, "sigserve_tenant."); ok {
@@ -294,17 +306,6 @@ func TestTenantRowsBounded(t *testing.T) {
 	}
 	if got := snap.Counters["sigserve_server_tenant_rows_folded_total"]; got != 6 {
 		t.Fatalf("folded_total = %d, want 6", got)
-	}
-	// Every ping must have landed somewhere: 4 rows + overflow absorb
-	// all 10 connections' pings.
-	var pings uint64
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, "sigserve_tenant.") && strings.HasSuffix(name, ".req.ping_total") {
-			pings += v
-		}
-	}
-	if pings != uint64(len(names)) {
-		t.Fatalf("tenant rows account for %d pings, want %d", pings, len(names))
 	}
 	var buf bytes.Buffer
 	if err := snap.WritePrometheus(&buf); err != nil {
@@ -495,7 +496,12 @@ func TestSlowLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SetDelay(0)
-	line := strings.SplitN(serverBuf.String(), "\n", 2)[0]
+	// The server writes the line after its reply, so that the logged
+	// duration covers the reply write: Ping can return first.
+	line := waitFor(t, "a server slow log line", func() (string, bool) {
+		line, _, ok := strings.Cut(serverBuf.String(), "\n")
+		return line, ok
+	})
 	var got struct {
 		Kind   string `json:"kind"`
 		Tenant string `json:"tenant"`
@@ -506,6 +512,21 @@ func TestSlowLog(t *testing.T) {
 	}
 	if got.Kind != "slow_request" || got.Tenant != "default" || got.Msg != "ping" {
 		t.Fatalf("server slow log fields: %+v", got)
+	}
+}
+
+// waitFor polls cond until it reports true, failing the test after five
+// seconds. The server accounts and logs each request after replying to
+// it, so a client can see the reply before the request's traces exist.
+func waitFor[T any](t *testing.T, what string, cond func() (T, bool)) T {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, ok := cond(); ok {
+			return v
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

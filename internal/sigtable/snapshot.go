@@ -238,8 +238,9 @@ func SnapshotFromWire(t Table, payload []byte) (*Snapshot, error) {
 
 // SigBaseAlign rounds a table size up to the page multiple the loader
 // uses when placing consecutive tables at prog.SigBase — shared by
-// Engine.AddModule and the fleet's Prepare so serial and shared paths
-// assign identical table bases (and therefore identical SC-miss timing).
+// core.Prepare and every table provider so local, remote, and
+// RAM-installed tables get identical bases (and therefore identical
+// SC-miss timing).
 func SigBaseAlign(size uint64) uint64 {
 	return (size + prog.PageSize - 1) &^ (prog.PageSize - 1)
 }
