@@ -57,13 +57,14 @@ func (st *SharedTable) Source() sigtable.Source {
 //
 // Every run goes through a Prepared: core.Run is Prepare followed by one
 // RunInstance, and serving paths Prepare at load time and call
-// RunInstance per request.
+// RunInstance per request. Prepareds made from one Image share its
+// prototype and, per format, its tables.
 type Prepared struct {
 	rc RunConfig
 	// proto is the pristine loaded-but-never-executed program image. Each
 	// run arena clones it once and restores from it between runs, instead
 	// of re-running the program builder. proto itself is never executed
-	// or mutated after Prepare returns.
+	// or mutated after Load returns.
 	proto *prog.Program
 	// Tables holds one immutable SharedTable per program module, in
 	// module order (nil for a base run).
@@ -82,64 +83,157 @@ type Prepared struct {
 	arenas  []*runArena
 }
 
-// Prepare performs the per-workload preparation of Run once and freezes
-// the result into an immutable Prepared. It builds the pristine program
-// image; when rc.REV is set it also profiles a twin instance and builds
-// every module's signature table (buildTables). A base run (rc.REV nil)
-// keeps only the image: its instances run without an engine.
-func Prepare(build func() (*prog.Program, error), rc RunConfig) (*Prepared, error) {
+// Image is the format-independent half of the trusted loader's work
+// (Sec. IV.B) for one workload: the pristine program image and, for a
+// REV load, each module's reference CFG completed from one profiling
+// pass plus static analysis. The signature-table format and every
+// microarchitectural parameter (the SC size among them) only matter
+// later, so one Image serves every Prepared of its workload: Prepare
+// signs the CFGs into tables once per format and shares them.
+type Image struct {
+	// rc is the load's configuration; Prepare checks its load-relevant
+	// fields against every later request.
+	rc    RunConfig
+	proto *prog.Program
+	// graphs holds one reference CFG per program module, in module order
+	// (nil for a base load). Read-only after Load returns.
+	graphs []*cfg.Graph
+
+	// mu guards tables, the per-format memo of signed, snapshotted
+	// tables. It is held across a build, so concurrent Prepare calls
+	// build each format's tables exactly once.
+	mu     sync.Mutex
+	tables map[sigtable.Format][]*SharedTable
+}
+
+// Load performs the format-independent loader work once: it calls build
+// once for the pristine program image and, when rc.REV is set, profiles
+// a clone of it (the profiling pass that discovers computed-control-flow
+// targets, Sec. IV.D), analyzes the image statically, and completes
+// every module's reference CFG (buildGraphs). A base load (rc.REV nil)
+// keeps only the image.
+func Load(build func() (*prog.Program, error), rc RunConfig) (*Image, error) {
 	if rc.MaxInstrs == 0 {
 		rc.MaxInstrs = 1_000_000
 	}
-	// The analysis instance is only read (static analysis + table build),
-	// so it is retained as the pristine clone prototype; the profiling
-	// twin is executed and discarded.
 	proto, err := build()
 	if err != nil {
 		return nil, fmt.Errorf("core: building program: %w", err)
 	}
-	p := &Prepared{rc: rc, proto: proto}
+	img := &Image{rc: rc, proto: proto, tables: make(map[sigtable.Format][]*SharedTable)}
 	if rc.REV == nil {
-		return p, nil
+		return img, nil
 	}
 	profInstrs := rc.ProfileInstrs
 	if profInstrs == 0 {
 		profInstrs = rc.MaxInstrs
 	}
-	twin, err := build()
-	if err != nil {
-		return nil, fmt.Errorf("core: building profiling twin: %w", err)
-	}
-	profile, err := cfg.ProfileRun(twin, profInstrs)
+	// The profiling pass executes a clone, so the prototype stays pristine.
+	profile, err := cfg.ProfileRun(proto.Clone(), profInstrs)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling run: %w", err)
 	}
-	if p.Tables, err = buildTables(proto, profile, rc); err != nil {
+	if img.graphs, err = buildGraphs(proto, profile, rc.REV.Limits); err != nil {
 		return nil, err
 	}
+	return img, nil
+}
+
+// Prepare freezes the image into a Prepared for rc. A REV rc gets the
+// tables of rc.REV.Format, signed and snapshotted on the first request
+// for that format and shared by every later one; a base rc gets the
+// prototype only. rc must agree with the load on every field the load
+// used — MaxInstrs, ProfileInstrs, KeySeed and REV.Limits — and may ask
+// for REV only of a REV load; anything else is an error.
+func (img *Image) Prepare(rc RunConfig) (*Prepared, error) {
+	if rc.MaxInstrs == 0 {
+		rc.MaxInstrs = 1_000_000
+	}
+	if err := img.check(rc); err != nil {
+		return nil, err
+	}
+	p := &Prepared{rc: rc, proto: img.proto}
+	if rc.REV == nil {
+		return p, nil
+	}
+	img.mu.Lock()
+	defer img.mu.Unlock()
+	tables, ok := img.tables[rc.REV.Format]
+	if !ok {
+		var err error
+		if tables, err = signTables(img.graphs, rc.REV.Format, rc.KeySeed); err != nil {
+			return nil, err
+		}
+		img.tables[rc.REV.Format] = tables
+	}
+	p.Tables = tables
 	return p, nil
 }
 
-// buildTables is the trusted loader's per-module work (Sec. IV.B):
-// complete each module's reference CFG from the profile plus static
-// analysis of p (call/return pairing and jump-table recovery,
-// Sec. IV.D), build and encrypt its signature table under the module's
-// key, and freeze it into an immutable decrypted snapshot. Tables take
-// consecutive page-aligned bases from prog.SigBase in module order.
-func buildTables(p *prog.Program, profile *cfg.Profiler, rc RunConfig) ([]*SharedTable, error) {
+// check rejects a run config the image was not loaded for.
+func (img *Image) check(rc RunConfig) error {
+	l := img.rc
+	switch {
+	case rc.MaxInstrs != l.MaxInstrs:
+		return fmt.Errorf("core: run config wants MaxInstrs %d, image loaded with %d", rc.MaxInstrs, l.MaxInstrs)
+	case rc.ProfileInstrs != l.ProfileInstrs:
+		return fmt.Errorf("core: run config wants ProfileInstrs %d, image loaded with %d", rc.ProfileInstrs, l.ProfileInstrs)
+	case rc.KeySeed != l.KeySeed:
+		return fmt.Errorf("core: run config wants KeySeed %#x, image loaded with %#x", rc.KeySeed, l.KeySeed)
+	case rc.REV == nil:
+		return nil
+	case l.REV == nil:
+		return fmt.Errorf("core: run config wants REV, image loaded for a base run")
+	case rc.REV.Limits != l.REV.Limits:
+		return fmt.Errorf("core: run config wants block limits %+v, image loaded with %+v", rc.REV.Limits, l.REV.Limits)
+	}
+	return nil
+}
+
+// Prepare is Load followed by Image.Prepare: the per-workload
+// preparation of Run, frozen into an immutable Prepared. The builder is
+// called once; when rc.REV is set the profiling pass runs on a clone of
+// the built image.
+func Prepare(build func() (*prog.Program, error), rc RunConfig) (*Prepared, error) {
+	img, err := Load(build, rc)
+	if err != nil {
+		return nil, err
+	}
+	return img.Prepare(rc)
+}
+
+// buildGraphs is the format-independent half of the trusted loader's
+// per-module work (Sec. IV.B): complete each module's reference CFG from
+// the profile plus static analysis of p (call/return pairing and
+// jump-table recovery, Sec. IV.D), split at limits.
+func buildGraphs(p *prog.Program, profile *cfg.Profiler, limits cfg.Limits) ([]*cfg.Graph, error) {
 	static := cfg.Analyze(p, cfg.DefaultAnalyzeOptions())
-	ks := crypt.NewKeyStore(crypt.DeriveKey(rc.KeySeed, "cpu-private"))
-	tables := make([]*SharedTable, 0, len(p.Modules))
-	nextBase := prog.SigBase
+	graphs := make([]*cfg.Graph, len(p.Modules))
 	for i, mod := range p.Modules {
-		bld := cfg.NewBuilder(mod, rc.REV.Limits)
+		bld := cfg.NewBuilder(mod, limits)
 		profile.Apply(bld)
 		static.Apply(bld)
 		g, err := bld.Build()
 		if err != nil {
 			return nil, fmt.Errorf("core: CFG for %s: %w", mod.Name, err)
 		}
-		tbl, img, err := sigtable.Build(g, rc.REV.Format, tableKey(rc.KeySeed, i, mod.Name), ks)
+		graphs[i] = g
+	}
+	return graphs, nil
+}
+
+// signTables finishes the loader's per-module work for one format: build
+// and encrypt each module's signature table from its CFG under the
+// module's key, and freeze it into an immutable decrypted snapshot.
+// Tables take consecutive page-aligned bases from prog.SigBase in module
+// order. The graphs are only read.
+func signTables(graphs []*cfg.Graph, format sigtable.Format, keySeed uint64) ([]*SharedTable, error) {
+	ks := crypt.NewKeyStore(crypt.DeriveKey(keySeed, "cpu-private"))
+	tables := make([]*SharedTable, 0, len(graphs))
+	nextBase := prog.SigBase
+	for i, g := range graphs {
+		mod := g.Module
+		tbl, img, err := sigtable.Build(g, format, tableKey(keySeed, i, mod.Name), ks)
 		if err != nil {
 			return nil, fmt.Errorf("core: building table for %s: %w", mod.Name, err)
 		}

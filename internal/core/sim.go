@@ -186,16 +186,17 @@ func (p *parts) attach(engine *Engine, rc RunConfig) {
 }
 
 // Run executes a workload: Prepare, then one RunInstance with rc's
-// Lanes, Telemetry and Evidence. The builder must deterministically
-// construct a fresh program instance on each call: Prepare keeps one as
-// the pristine image the measured instance is cloned from and, when
-// rc.REV is set, executes a twin in the profiling pass that discovers
-// computed-control-flow targets (the paper's profiling pass, Sec. IV.D).
+// Lanes, Telemetry and Evidence. The builder is called once, for the
+// pristine image the measured instance is cloned from; when rc.REV is
+// set, the profiling pass that discovers computed-control-flow targets
+// (the paper's profiling pass, Sec. IV.D) executes another clone of it.
 //
 // Run repeats the trusted-loader work — profiling, static analysis,
 // signature-table build — on every call. When many runs share one
 // workload (a validation fleet), Prepare once and call
-// Prepared.RunInstance per instance instead.
+// Prepared.RunInstance per instance instead; when they also differ in
+// format or microarchitecture (a parameter sweep), Load once and call
+// Image.Prepare per configuration.
 func Run(build func() (*prog.Program, error), rc RunConfig) (*Result, error) {
 	p, err := Prepare(build, rc)
 	if err != nil {

@@ -80,11 +80,8 @@ func RunThreads(build func() (*prog.Program, error), entries []string, trc Threa
 
 	var engine *Engine
 	if rc.REV != nil {
-		twin, err := build()
-		if err != nil {
-			return nil, err
-		}
-		// Profile every thread's behaviour on the twin.
+		// Profile every thread's behaviour on a clone of the image.
+		twin := measured.Clone()
 		tm := cpu.NewMachine(twin)
 		profiler := cfg.NewProfiler()
 		profiler.Attach(tm)
@@ -101,7 +98,11 @@ func RunThreads(build func() (*prog.Program, error), entries []string, trc Threa
 				return nil, fmt.Errorf("core: profiling thread %q: %w", name, err)
 			}
 		}
-		tables, err := buildTables(measured, profiler, rc)
+		graphs, err := buildGraphs(measured, profiler, rc.REV.Limits)
+		if err != nil {
+			return nil, err
+		}
+		tables, err := signTables(graphs, rc.REV.Format, rc.KeySeed)
 		if err != nil {
 			return nil, err
 		}

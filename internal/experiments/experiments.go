@@ -6,8 +6,9 @@
 // overhead study, and the Sec. VI power/area estimates.
 //
 // Runs are deterministic and cached per (benchmark, variant, SC size), so
-// figures that share underlying simulations reuse them. Benchmarks run in
-// parallel.
+// figures that share underlying simulations reuse them. Each benchmark is
+// loaded once per fleet job and its variants run on the shared image;
+// benchmarks run in parallel.
 package experiments
 
 import (
@@ -113,93 +114,129 @@ func Benchmarks() []string {
 	return names
 }
 
-// Run returns the (cached) result for one benchmark and variant.
+// Run returns the (cached) result for one benchmark and variant. A
+// cache miss runs as a one-key benchmark job (runBench).
 func (s *Suite) Run(bench string, variant Variant, scKB int) (*core.Result, error) {
 	key := runKey{bench, variant, scKB}
-	s.mu.Lock()
-	if r, ok := s.cache[key]; ok {
-		s.mu.Unlock()
+	if r := s.cached(key); r != nil {
 		return r, nil
 	}
-	s.mu.Unlock()
-
-	p, err := workload.ByName(bench)
-	if err != nil {
+	if _, err := s.runBench([]runKey{key}); err != nil {
 		return nil, err
 	}
-	p = p.Scaled(s.Cfg.Scale)
+	return s.cached(key), nil
+}
+
+// cached returns the cached result for key, or nil.
+func (s *Suite) cached(key runKey) *core.Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache[key]
+}
+
+// runConfig returns the run configuration of one simulation.
+func (s *Suite) runConfig(k runKey) core.RunConfig {
 	rc := core.DefaultRunConfig()
 	rc.MaxInstrs = s.Cfg.MaxInstrs
-	switch variant {
-	case Base:
-	default:
-		rev := core.DefaultConfig()
-		rev.SC.SizeKB = scKB
-		switch variant {
-		case REVAggressive:
-			rev.Format = sigtable.Aggressive
-		case REVCFIOnly:
-			rev.Format = sigtable.CFIOnly
-		}
-		rc.REV = &rev
+	if k.variant == Base {
+		return rc
 	}
-	res, err := core.Run(p.Builder(), rc)
+	rev := core.DefaultConfig()
+	rev.SC.SizeKB = k.scKB
+	switch k.variant {
+	case REVAggressive:
+		rev.Format = sigtable.Aggressive
+	case REVCFIOnly:
+		rev.Format = sigtable.CFIOnly
+	}
+	rc.REV = &rev
+	return rc
+}
+
+// runBench is one benchmark's fleet job: it loads the benchmark of keys
+// once — program build and, when a key needs REV, the profiling pass,
+// static analysis and CFGs — runs every key on that image, caches each
+// result, and returns the blocks the simulations committed. Keys of one
+// format share its tables (core.Image.Prepare); the image is dropped
+// when the job ends.
+func (s *Suite) runBench(keys []runKey) (uint64, error) {
+	bench := keys[0].bench
+	p, err := workload.ByName(bench)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s/%dKB: %w", bench, variant, scKB, err)
+		return 0, err
 	}
-	if res.Violation != nil {
-		return nil, fmt.Errorf("experiments: %s/%s/%dKB: unexpected violation: %v",
-			bench, variant, scKB, res.Violation)
+	load := s.runConfig(keys[0])
+	for _, k := range keys {
+		if k.variant != Base {
+			load = s.runConfig(k)
+			break
+		}
 	}
-	s.mu.Lock()
-	s.cache[key] = res
-	s.mu.Unlock()
-	return res, nil
+	img, err := core.Load(p.Scaled(s.Cfg.Scale).Builder(), load)
+	if err != nil {
+		return 0, fmt.Errorf("experiments: loading %s: %w", bench, err)
+	}
+	var blocks uint64
+	for _, k := range keys {
+		prep, err := img.Prepare(s.runConfig(k))
+		var res *core.Result
+		if err == nil {
+			res, err = prep.RunInstance(core.InstanceOptions{})
+		}
+		if err != nil {
+			return 0, fmt.Errorf("experiments: %s/%s/%dKB: %w", bench, k.variant, k.scKB, err)
+		}
+		if res.Violation != nil {
+			return 0, fmt.Errorf("experiments: %s/%s/%dKB: unexpected violation: %v",
+				bench, k.variant, k.scKB, res.Violation)
+		}
+		s.mu.Lock()
+		s.cache[k] = res
+		s.mu.Unlock()
+		blocks += res.Pipe.BBCount
+	}
+	return blocks, nil
 }
 
 // Prefetch shards a set of configurations across all benchmarks over the
-// validation fleet: one worker goroutine per available core (bounded by
-// Cfg.Parallel), dynamic job hand-out so gcc/gobmk stragglers do not idle
-// the pool, deterministic input-ordered error reporting. Results land in
-// the suite's locked cache; repeated configurations are deduplicated up
-// front so the fleet never runs a simulation twice.
+// validation fleet: one job per benchmark that still has uncached
+// configurations, which loads the benchmark once and runs each of them
+// on that image (runBench). One worker goroutine per available core
+// (bounded by Cfg.Parallel), dynamic job hand-out so gcc/gobmk
+// stragglers do not idle the pool, deterministic input-ordered error
+// reporting. Results land in the suite's locked cache; cached and
+// repeated configurations are dropped up front, so the fleet never runs
+// a simulation twice and its block count covers distinct simulations.
 func (s *Suite) Prefetch(variants []Variant, scKBs []int) error {
-	type job struct {
-		bench   string
-		variant Variant
-		scKB    int
-	}
-	var jobs []job
+	var jobs [][]runKey // per benchmark, its uncached keys
 	seen := map[runKey]bool{}
-	add := func(j job) {
-		k := runKey{j.bench, j.variant, j.scKB}
-		if !seen[k] {
-			seen[k] = true
-			jobs = append(jobs, j)
-		}
-	}
+	s.mu.Lock()
 	for _, b := range Benchmarks() {
+		var keys []runKey
+		add := func(k runKey) {
+			if !seen[k] && s.cache[k] == nil {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
 		for _, v := range variants {
 			if v == Base {
-				add(job{b, v, 0})
+				add(runKey{b, v, 0})
 				continue
 			}
 			for _, kb := range scKBs {
-				add(job{b, v, kb})
+				add(runKey{b, v, kb})
 			}
 		}
+		if len(keys) > 0 {
+			jobs = append(jobs, keys)
+		}
 	}
-	runner := fleet.Runner[job, *core.Result]{
+	s.mu.Unlock()
+	runner := fleet.Runner[[]runKey, uint64]{
 		Workers: s.Cfg.Parallel,
-		Fn: func(_, _ int, j job) (*core.Result, error) {
-			return s.Run(j.bench, j.variant, j.scKB)
-		},
-		Blocks: func(r *core.Result) uint64 {
-			if r == nil {
-				return 0
-			}
-			return r.Pipe.BBCount
-		},
+		Fn:      func(_, _ int, keys []runKey) (uint64, error) { return s.runBench(keys) },
+		Blocks:  func(blocks uint64) uint64 { return blocks },
 	}
 	_, rep, err := runner.Run(jobs)
 	s.mu.Lock()

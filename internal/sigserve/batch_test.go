@@ -110,9 +110,16 @@ func TestLookupBatchSingleFrame(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = sigtable.BatchReq{Kind: sigtable.BatchLookup, End: uint64(0x1000 + 8*i), Sig: 1}
 	}
-	before := requests.Load()
+	// Server.handle counts a request after writing its reply, so a count
+	// may land after the client has its answer: wait for the Source
+	// fetch's count before reading the baseline, and for the batch's
+	// after it.
+	count := func(want uint64) func() (uint64, bool) {
+		return func() (uint64, bool) { n := requests.Load(); return n, n >= want }
+	}
+	before := waitFor(t, "the Source fetch's request count", count(1))
 	out := src.LookupBatch(reqs)
-	frames := requests.Load() - before
+	frames := waitFor(t, "the batch's request count", count(before+1)) - before
 	if frames != 1 {
 		t.Fatalf("32 distinct queries cost %d wire requests, want 1 batch frame", frames)
 	}
