@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet doccheck race race-all test-race bench-smoke bench-figures bench-json bench-parallel bench-pipeline bench-scaling bench-telemetry bench-remote bench-prefetch bench-evidence bench-load bench-load-sharded profile clean
+.PHONY: all build test vet doccheck race race-all test-race bench-smoke bench-figures bench-parallel bench-pipeline bench-scaling bench-telemetry bench-remote bench-prefetch bench-evidence bench-load bench-load-sharded profile clean
 
 all: build vet test
 
@@ -138,11 +138,6 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof -o rev.test .
 	$(GO) tool pprof -top -nodecount 15 rev.test cpu.prof
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects rev.test mem.prof
-
-# Regenerate the machine-readable perf record (see README "Benchmarking").
-bench-json:
-	$(GO) run ./cmd/revbench -exp fig6,fig7 -instrs 120000 -scale 0.05 \
-		-json BENCH_hotpath.json -ref fig6=4.863,fig7=4.789
 
 clean:
 	$(GO) clean ./...

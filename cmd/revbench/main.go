@@ -6,8 +6,6 @@
 //	revbench -exp fig7                # one experiment
 //	revbench -exp fig6 -instrs 2e6    # longer runs
 //	revbench -exp tablesize -scale 0.1
-//	revbench -exp fig6,fig7 -json BENCH_hotpath.json \
-//	    -ref fig6=4.863,fig7=4.789    # machine-readable perf record
 //	revbench -exp fig6,fig7 -parallel 4 -parjson BENCH_parallel.json
 //
 // Experiments: table1, table2, bbstats, fig6, fig7, fig8, fig9, fig10,
@@ -18,12 +16,8 @@
 // tables are collected in benchmark order, so output is byte-identical
 // at any worker count.
 //
-// With -json, revbench also runs a hot-path probe — one REV-protected
-// workload measured with runtime.MemStats around it — and writes wall time
-// per experiment plus validated-blocks/sec, allocations/block, and memo hit
-// rates to the given file. -ref name=seconds pairs embed a reference (e.g.
-// pre-optimization) wall time per experiment so the file records the
-// speedup alongside the measurement.
+// End-to-end throughput records come from the benchmark module in
+// perfbench/ (perfbench/README.md), not from revbench.
 //
 // With -parjson, revbench times every selected experiment twice — once
 // serial (1 worker) and once on the fleet (-parallel workers) — verifies
@@ -54,8 +48,9 @@
 // metrics registry enabled, and with metrics + tracing enabled; results
 // are checked for byte identity across all three, and the record (the
 // committed BENCH_telemetry.json) is written. When the metrics-enabled
-// overhead exceeds -telthreshold percent, revbench exits nonzero — the CI
-// telemetry-overhead gate.
+// overhead, or the metrics overhead of the same workload in prefetching
+// lookup mode, exceeds -telthreshold percent, revbench exits nonzero — the
+// CI telemetry-overhead gate.
 //
 // With -evidencejson, revbench probes the attestation-evidence emitter
 // (docs/EVIDENCE.md): one REV-protected workload is timed (best of
@@ -112,38 +107,6 @@ func hostInfo() hostMeta {
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
 	}
-}
-
-// expTiming is one experiment's wall-clock record.
-type expTiming struct {
-	ID          string  `json:"id"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// RefSeconds/Speedup are present when -ref supplied a reference time.
-	RefSeconds float64 `json:"ref_seconds,omitempty"`
-	Speedup    float64 `json:"speedup,omitempty"`
-}
-
-// hotPath records the per-block cost probe: a single REV-protected run
-// bracketed by runtime.ReadMemStats.
-type hotPath struct {
-	Workload       string  `json:"workload"`
-	Instrs         uint64  `json:"instrs"`
-	Blocks         uint64  `json:"blocks"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	BlocksPerSec   float64 `json:"blocks_per_sec"`
-	Mallocs        uint64  `json:"mallocs"`
-	AllocsPerBlock float64 `json:"allocs_per_block"`
-	MemoHits       uint64  `json:"memo_hits"`
-	MemoMisses     uint64  `json:"memo_misses"`
-}
-
-type benchReport struct {
-	Generated   string      `json:"generated"`
-	Host        hostMeta    `json:"host"`
-	Instrs      uint64      `json:"instrs"`
-	Scale       float64     `json:"scale"`
-	Experiments []expTiming `json:"experiments"`
-	HotPath     *hotPath    `json:"hotpath,omitempty"`
 }
 
 // laneTiming is one pipelined configuration's record in the lane probe.
@@ -227,7 +190,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload static-size scale (1.0 = paper-matched)")
 	parallel := flag.Int("parallel", 0, "validation-fleet worker goroutines (0 = GOMAXPROCS)")
 	attackInstrs := flag.Uint64("attackinstrs", 100_000, "instruction budget per attack scenario")
-	jsonPath := flag.String("json", "", "write machine-readable timings (e.g. BENCH_hotpath.json)")
 	parJSONPath := flag.String("parjson", "", "write serial-vs-fleet timings (e.g. BENCH_parallel.json)")
 	lanesJSONPath := flag.String("lanesjson", "", "write serial-vs-pipelined lane timings (e.g. BENCH_pipeline.json)")
 	scalingJSONPath := flag.String("scalingjson", "", "write the lanes x GOMAXPROCS scaling sweep (e.g. BENCH_pipeline.json); exits nonzero on identity divergence or allocs past -scalingallocs")
@@ -243,14 +205,7 @@ func main() {
 	prefetchJSONPath := flag.String("prefetchjson", "", "write the predictive-prefetch probe (e.g. BENCH_prefetch.json): lookup-mode loopback revserved across a prefetch-depth x service-delay grid")
 	prefetchDepths := flag.String("prefetchdepths", "0,1,4,16,64", "comma-separated prefetch depths for -prefetchjson (0 = unprefetched baseline)")
 	prefetchMax := flag.Float64("prefetchmax", 0, "for -prefetchjson: max tolerated best-depth slowdown vs local at 5ms delay (0 = no gate)")
-	ref := flag.String("ref", "", "reference wall times as id=seconds pairs, comma separated")
 	flag.Parse()
-
-	refTimes, err := parseRef(*ref)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "revbench: -ref: %v\n", err)
-		os.Exit(2)
-	}
 
 	suiteCfg := experiments.Config{
 		MaxInstrs: *instrs,
@@ -305,8 +260,15 @@ func main() {
 		}
 		writeJSON(*telJSONPath, rep)
 		if !rep.WithinThreshold {
-			fmt.Fprintf(os.Stderr, "revbench: metrics-enabled overhead %.2f%% exceeds the %.2f%% gate\n",
-				rep.MetricsOverheadPct, rep.ThresholdPct)
+			var over []string
+			if rep.MetricsOverheadPct > rep.ThresholdPct {
+				over = append(over, fmt.Sprintf("metrics-enabled overhead %.2f%%", rep.MetricsOverheadPct))
+			}
+			if rep.PrefetchOverheadPct > rep.ThresholdPct {
+				over = append(over, fmt.Sprintf("prefetch metrics overhead %.2f%%", rep.PrefetchOverheadPct))
+			}
+			fmt.Fprintf(os.Stderr, "revbench: over the %.2f%% gate: %s\n",
+				rep.ThresholdPct, strings.Join(over, ", "))
 			os.Exit(1)
 		}
 		return
@@ -408,43 +370,13 @@ func main() {
 		return
 	}
 
-	report := benchReport{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Host:      hostInfo(),
-		Instrs:    *instrs,
-		Scale:     *scale,
-	}
 	for _, e := range selected {
-		if *jsonPath != "" {
-			// Benchmarking mode: time each experiment against a fresh suite
-			// so figures sharing cached simulation runs (e.g. fig6/fig7)
-			// each pay — and report — their full cost.
-			suite = experiments.NewSuite(suiteCfg)
-		}
-		start := time.Now()
 		t, err := e.run(suite)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "revbench: %s: %v\n", e.id, err)
 			os.Exit(1)
 		}
-		wall := time.Since(start).Seconds()
-		et := expTiming{ID: e.id, WallSeconds: round3(wall)}
-		if r, ok := refTimes[e.id]; ok && wall > 0 {
-			et.RefSeconds = r
-			et.Speedup = round3(r / wall)
-		}
-		report.Experiments = append(report.Experiments, et)
 		fmt.Println(t.String())
-	}
-
-	if *jsonPath != "" {
-		hp, err := probeHotPath(*instrs, *scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "revbench: hot-path probe: %v\n", err)
-			os.Exit(1)
-		}
-		report.HotPath = hp
-		writeJSON(*jsonPath, &report)
 	}
 }
 
@@ -898,52 +830,6 @@ func identitySig(res *core.Result) string {
 		res.SC, eng, res.Shadow, res.SourceNotes)
 }
 
-// probeHotPath runs one REV-protected workload and measures simulator-side
-// throughput: validated blocks per second and heap allocations per block.
-func probeHotPath(instrs uint64, scale float64) (*hotPath, error) {
-	p, err := workload.ByName("bzip2")
-	if err != nil {
-		return nil, err
-	}
-	p = p.Scaled(scale)
-	rc := core.DefaultRunConfig()
-	rc.MaxInstrs = instrs
-	cfg := core.DefaultConfig()
-	cfg.Format = sigtable.Normal
-	rc.REV = &cfg
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	res, err := core.Run(p.Builder(), rc)
-	wall := time.Since(start).Seconds()
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return nil, err
-	}
-	if res.Violation != nil {
-		return nil, fmt.Errorf("clean workload flagged: %v", res.Violation)
-	}
-	blocks := res.Pipe.BBCount
-	hp := &hotPath{
-		Workload:    p.Name,
-		Instrs:      res.Pipe.Instrs,
-		Blocks:      blocks,
-		WallSeconds: round3(wall),
-		Mallocs:     after.Mallocs - before.Mallocs,
-		MemoHits:    res.Engine.MemoHits,
-		MemoMisses:  res.Engine.MemoMisses,
-	}
-	if wall > 0 {
-		hp.BlocksPerSec = round3(float64(blocks) / wall)
-	}
-	if blocks > 0 {
-		hp.AllocsPerBlock = round3(float64(hp.Mallocs) / float64(blocks))
-	}
-	return hp, nil
-}
-
 func writeJSON(path string, v any) {
 	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -956,25 +842,6 @@ func writeJSON(path string, v any) {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "revbench: wrote %s\n", path)
-}
-
-func parseRef(s string) (map[string]float64, error) {
-	out := map[string]float64{}
-	if s == "" {
-		return out, nil
-	}
-	for _, pair := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(pair), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("want id=seconds, got %q", pair)
-		}
-		v, err := strconv.ParseFloat(kv[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%q: %v", pair, err)
-		}
-		out[kv[0]] = v
-	}
-	return out, nil
 }
 
 // parseDepths parses the -prefetchdepths list.

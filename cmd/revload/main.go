@@ -87,16 +87,15 @@ func hostInfo() hostMeta {
 
 // loadConfig echoes the knobs a record was produced under.
 type loadConfig struct {
-	Addr       string  `json:"addr"` // "self-hosted" or the external endpoint
-	Bench      string  `json:"bench"`
-	Scale      float64 `json:"scale"`
-	Instrs     uint64  `json:"instrs"`
-	Tenants    int     `json:"tenants"`
-	Workers    int     `json:"workers_per_tenant"`
-	DurationS  float64 `json:"phase_seconds"`
-	DelayNS    int64   `json:"server_delay_ns"`
-	Seed       int64   `json:"seed"`
-	MaxVersion uint8   `json:"max_version"`
+	Addr      string  `json:"addr"` // "self-hosted" or the external endpoint
+	Bench     string  `json:"bench"`
+	Scale     float64 `json:"scale"`
+	Instrs    uint64  `json:"instrs"`
+	Tenants   int     `json:"tenants"`
+	Workers   int     `json:"workers_per_tenant"`
+	DurationS float64 `json:"phase_seconds"`
+	DelayNS   int64   `json:"server_delay_ns"`
+	Seed      int64   `json:"seed"`
 }
 
 // phaseStats is one closed-loop phase's record.
@@ -175,9 +174,8 @@ func main() {
 	workers := flag.Int("workers", 2, "closed-loop worker goroutines per tenant")
 	duration := flag.Duration("duration", 2*time.Second, "wall time per phase")
 	rates := flag.String("rates", "", "comma-separated offered lookup rates (ops/sec) for the open-loop sweep (empty = skip)")
-	delay := flag.Duration("delay", 0, "injected per-request service delay on the self-hosted server")
+	delay := flag.Duration("delay", 0, "injected per-request service delay on the self-hosted server; a sleep, so values under ~1ms act as ~1.1ms on common Linux hosts")
 	seed := flag.Int64("seed", 1, "query-stream seed (same seed = same query sequence)")
-	maxVersion := flag.Int("max-version", 0, "cap the protocol version the clients offer (0 = newest)")
 	jsonPath := flag.String("json", "", "write the load record (e.g. BENCH_load.json)")
 	shards := flag.Int("shards", 0, "self-hosted sharded plane: number of shard servers on one ring (0 = single unsharded server)")
 	replicasFlag := flag.Int("replicas", 0, "replica-set size per tenant namespace in sharded mode (0 = ring default)")
@@ -188,7 +186,7 @@ func main() {
 	cfg := loadConfig{
 		Addr: *addr, Bench: *bench, Scale: *scale, Instrs: *instrs,
 		Tenants: *tenants, Workers: *workers, DurationS: duration.Seconds(),
-		DelayNS: int64(*delay), Seed: *seed, MaxVersion: uint8(*maxVersion),
+		DelayNS: int64(*delay), Seed: *seed,
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "self-hosted"
@@ -318,9 +316,7 @@ func main() {
 	// ---- tenant clients ----------------------------------------------
 	tcs := make([]*tenantCtx, *tenants)
 	for i, name := range names {
-		clcfg := sigserve.ClientConfig{
-			Tenant: name, LookupMode: true, MaxVersion: uint8(*maxVersion),
-		}
+		clcfg := sigserve.ClientConfig{Tenant: name, LookupMode: true}
 		if addrsFor != nil {
 			clcfg.Addrs = addrsFor(name)
 		} else {

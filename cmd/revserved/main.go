@@ -20,7 +20,7 @@
 // the ones the client would have built locally, so verdicts and figures
 // are identical too (the acceptance contract in docs/PROTOCOL.md).
 //
-// Version-2 clients may also retain attestation evidence streams here
+// Clients may also retain attestation evidence streams here
 // (revsim -evidence-upload): each tenant keeps its newest streams,
 // evicting oldest-first under the -evidence-streams / -evidence-bytes
 // bounds, and revattest -fetch pulls a retained stream back for offline
@@ -72,7 +72,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload static-size scale (must match the measurement side)")
 	instrs := flag.Uint64("instrs", 1_000_000, "profiling instruction budget (must match the measurement side)")
 	keySeed := flag.Uint64("keyseed", 0x5eed, "table key derivation seed")
-	delay := flag.Duration("delay", 0, "artificial per-request service delay (latency-ladder benchmarking)")
+	delay := flag.Duration("delay", 0, "artificial per-request service delay (latency-ladder benchmarking); a sleep, so values under ~1ms act as ~1.1ms on common Linux hosts")
 	evStreams := flag.Int("evidence-streams", 0, "retained evidence streams per tenant (0 keeps the default; see docs/EVIDENCE.md)")
 	evBytes := flag.Int("evidence-bytes", 0, "per-stream evidence size cap in bytes (0 keeps the default)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, /debug/vars and /debug/pprof on this address while running")

@@ -58,11 +58,6 @@ type ClientConfig struct {
 	// BatchMax caps how many coalesced lookups ride one batch frame
 	// (default 64).
 	BatchMax int
-	// MaxVersion caps the protocol version offered in the Hello (default
-	// the package Version). Lowering it makes the client byte-identical
-	// to one built before the newer versions existed — the interop lever
-	// TestNegotiateDownByteIdentity pins and cmd/revload exposes.
-	MaxVersion uint8
 	// Telemetry attaches client metrics and trace spans
 	// (docs/OBSERVABILITY.md "sigserve metrics"). Nil disables.
 	Telemetry *telemetry.Set
@@ -110,9 +105,6 @@ func (c *ClientConfig) withDefaults() ClientConfig {
 	}
 	if out.BatchMax <= 0 {
 		out.BatchMax = 64
-	}
-	if out.MaxVersion == 0 || out.MaxVersion > Version {
-		out.MaxVersion = Version
 	}
 	return out
 }
@@ -210,12 +202,10 @@ type Client struct {
 	// degraded verdicts stale.
 	serverEpoch atomic.Uint64
 	// ringEpoch is the newest topology generation any Welcome, error
-	// hint, or topology response has reported; it rides outgoing Hellos
-	// so servers can spot a stale-ring client.
+	// hint, or topology response has reported (Client.RingEpoch).
 	ringEpoch atomic.Uint64
-	// negotiated is the protocol version the server's Welcome chose
-	// (0 before first contact). Evidence methods require it to be at
-	// least VersionEvidence.
+	// negotiated is the protocol version the server's Welcome named
+	// (0 before first contact), reported by NegotiatedVersion.
 	negotiated atomic.Uint32
 	// traceSeq feeds newTraceID when tracing is on.
 	traceSeq atomic.Uint64
@@ -377,9 +367,8 @@ func (c *Client) dial(ep *endpoint) (net.Conn, error) {
 		return nil, err
 	}
 	conn.SetDeadline(time.Now().Add(c.cfg.RequestTimeout))
-	max := c.cfg.MaxVersion
-	hello := helloMsg{MinVersion: MinSupported, MaxVersion: max, Tenant: c.cfg.Tenant}
-	if err := WriteFrame(conn, Frame{Version: max, Type: MsgHello, ReqID: c.reqID.Add(1), Payload: hello.encode()}); err != nil {
+	hello := helloMsg{MinVersion: Version, MaxVersion: Version, Tenant: c.cfg.Tenant}
+	if err := WriteFrame(conn, Frame{Version: Version, Type: MsgHello, ReqID: c.reqID.Add(1), Payload: hello.encode()}); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -395,9 +384,11 @@ func (c *Client) dial(ep *endpoint) (net.Conn, error) {
 			conn.Close()
 			return nil, err
 		}
-		if w.Version < MinSupported || w.Version > max {
+		// The client offered only Version; a Welcome naming any other
+		// version is a malformed answer, not a negotiation outcome.
+		if w.Version != Version {
 			conn.Close()
-			return nil, fmt.Errorf("sigserve: server chose version %d, client speaks [%d,%d]", w.Version, MinSupported, max)
+			return nil, fmt.Errorf("sigserve: server chose version %d, client offered only %d", w.Version, Version)
 		}
 		c.negotiated.Store(uint32(w.Version))
 		c.observeEpoch(w.Epoch)
@@ -474,10 +465,10 @@ func (c *Client) roundTrip(typ MsgType, payload []byte) (Frame, error) {
 
 // roundTripTraced sends one request with the full resilience stack and
 // returns the matching response frame. A non-zero traceID rides the
-// request as the FlagTraced payload prefix (on VersionTrace
-// connections), stable across retries so client and server spans line
-// up. A MsgError response is returned as a *ServerError and counts as
-// transport success for the endpoint's breaker.
+// request as the FlagTraced payload prefix, stable across retries so
+// client and server spans line up. A MsgError response is returned as a
+// *ServerError and counts as transport success for the endpoint's
+// breaker.
 func (c *Client) roundTripTraced(typ MsgType, payload []byte, traceID uint64) (Frame, error) {
 	start := time.Now()
 	f, err := c.attempts(typ, payload, traceID)
@@ -711,9 +702,7 @@ func (c *Client) attempts(typ MsgType, payload []byte, traceID uint64) (Frame, e
 }
 
 // once performs a single request attempt over one pooled connection to
-// the endpoint. The trace ID only goes on the wire when the connection
-// negotiated VersionTrace — against older servers the frame stays
-// byte-identical to an untraced client's.
+// the endpoint; a non-zero trace ID marks the frame FlagTraced.
 func (c *Client) once(ep *endpoint, typ MsgType, payload []byte, traceID uint64) (Frame, error) {
 	conn, err := c.getConn(ep)
 	if err != nil {
@@ -722,16 +711,12 @@ func (c *Client) once(ep *endpoint, typ MsgType, payload []byte, traceID uint64)
 	id := c.reqID.Add(1)
 	deadline := time.Now().Add(c.cfg.RequestTimeout)
 	conn.SetDeadline(deadline)
-	ver := uint8(c.negotiated.Load())
-	if ver == 0 {
-		ver = c.cfg.MaxVersion
-	}
 	var flags uint16
-	if traceID != 0 && ver >= VersionTrace {
+	if traceID != 0 {
 		flags = FlagTraced
 		payload = withTrace(traceID, payload)
 	}
-	if err := WriteFrame(conn, Frame{Version: ver, Type: typ, Flags: flags, ReqID: id, Payload: payload}); err != nil {
+	if err := WriteFrame(conn, Frame{Version: Version, Type: typ, Flags: flags, ReqID: id, Payload: payload}); err != nil {
 		conn.Close()
 		return Frame{}, err
 	}
@@ -807,24 +792,9 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// ErrEvidenceUnsupported is returned by the evidence methods when the
-// connection negotiated a protocol version below VersionEvidence — the
-// server predates the evidence message family. Callers should skip the
-// upload, not fail the run.
-var ErrEvidenceUnsupported = fmt.Errorf("sigserve: server does not support evidence (needs protocol version %d)", VersionEvidence)
-
-// NegotiatedVersion returns the protocol version the server chose at
-// handshake (0 before first contact).
+// NegotiatedVersion returns the protocol version the server's Welcome
+// named (0 before first contact).
 func (c *Client) NegotiatedVersion() uint8 { return uint8(c.negotiated.Load()) }
-
-// ensureNegotiated forces a handshake if none has happened yet, so the
-// evidence methods can check the negotiated version before encoding.
-func (c *Client) ensureNegotiated() error {
-	if c.negotiated.Load() != 0 {
-		return nil
-	}
-	return c.Ping()
-}
 
 // EvidenceAck reports what the server did with an uploaded stream.
 type EvidenceAck struct {
@@ -836,15 +806,7 @@ type EvidenceAck struct {
 
 // UploadEvidence uploads one attestation evidence stream (the bytes an
 // evidence.Emitter wrote) under a name in the tenant's namespace.
-// Requires a server speaking VersionEvidence; older servers yield
-// ErrEvidenceUnsupported.
 func (c *Client) UploadEvidence(name string, stream []byte) (EvidenceAck, error) {
-	if err := c.ensureNegotiated(); err != nil {
-		return EvidenceAck{}, err
-	}
-	if c.NegotiatedVersion() < VersionEvidence {
-		return EvidenceAck{}, ErrEvidenceUnsupported
-	}
 	f, err := c.roundTrip(MsgEvidencePut, evidencePutMsg{Name: name, Stream: stream}.encode())
 	if err != nil {
 		return EvidenceAck{}, err
@@ -868,14 +830,8 @@ type EvidenceInfo struct {
 }
 
 // ListEvidence lists the tenant's retained evidence streams, oldest
-// first. Requires VersionEvidence.
+// first.
 func (c *Client) ListEvidence() ([]EvidenceInfo, error) {
-	if err := c.ensureNegotiated(); err != nil {
-		return nil, err
-	}
-	if c.NegotiatedVersion() < VersionEvidence {
-		return nil, ErrEvidenceUnsupported
-	}
 	f, err := c.roundTrip(MsgEvidenceList, nil)
 	if err != nil {
 		return nil, err
@@ -895,16 +851,9 @@ func (c *Client) ListEvidence() ([]EvidenceInfo, error) {
 }
 
 // FetchEvidence fetches one retained evidence stream by name, for
-// offline verification (cmd/revattest -fetch). Requires
-// VersionEvidence; an unknown name surfaces as a *ServerError with
-// CodeUnknownEvidence.
+// offline verification (cmd/revattest -fetch). An unknown name
+// surfaces as a *ServerError with CodeUnknownEvidence.
 func (c *Client) FetchEvidence(name string) ([]byte, error) {
-	if err := c.ensureNegotiated(); err != nil {
-		return nil, err
-	}
-	if c.NegotiatedVersion() < VersionEvidence {
-		return nil, ErrEvidenceUnsupported
-	}
 	f, err := c.roundTrip(MsgEvidenceGet, evidenceGetMsg{Name: name}.encode())
 	if err != nil {
 		return nil, err
@@ -976,12 +925,6 @@ func (c *Client) FetchSnapshot(module string) (*sigtable.Snapshot, sigtable.Tabl
 	return snap, data.Table, data.Epoch, nil
 }
 
-// ErrShardUnsupported is returned by the sharded-plane methods when the
-// connection negotiated a protocol version below VersionShard — the
-// server predates the sharded control plane. Callers should fall back
-// to full snapshot fetches, not fail.
-var ErrShardUnsupported = fmt.Errorf("sigserve: server does not support the sharded plane (needs protocol version %d)", VersionShard)
-
 // Topology is one shard's reported view of control-plane membership
 // (FetchTopology).
 type Topology struct {
@@ -999,15 +942,8 @@ type Topology struct {
 
 // FetchTopology asks the connected shard for the control plane's
 // membership, so a client bootstrapped with a single address can
-// discover — and build the ring over — the rest of the plane. Requires
-// a server speaking VersionShard.
+// discover — and build the ring over — the rest of the plane.
 func (c *Client) FetchTopology() (Topology, error) {
-	if err := c.ensureNegotiated(); err != nil {
-		return Topology{}, err
-	}
-	if c.NegotiatedVersion() < VersionShard {
-		return Topology{}, ErrShardUnsupported
-	}
 	f, err := c.roundTrip(MsgTopology, nil)
 	if err != nil {
 		return Topology{}, err
@@ -1031,7 +967,7 @@ func (c *Client) FetchTopology() (Topology, error) {
 
 // fetchSnapshotDelta asks for the records changed since the generation
 // the caller holds (RemoteSource.Refresh drives it and applies the
-// patches). Requires a VersionShard connection.
+// patches).
 func (c *Client) fetchSnapshotDelta(module string, haveEpoch, haveHash uint64) (snapshotDeltaData, error) {
 	f, err := c.roundTrip(MsgSnapshotDelta,
 		snapshotDeltaReq{Module: module, HaveEpoch: haveEpoch, HaveHash: haveHash}.encode())

@@ -3,7 +3,6 @@ package sigserve
 import (
 	"bytes"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 	"rev/internal/sigtable"
 )
 
-// TestEvidenceUploadListFetch: the version-2 evidence round trip —
+// TestEvidenceUploadListFetch: the evidence round trip —
 // upload a stream, find it in the catalogue, fetch it back byte-equal,
 // and get a typed rejection for an unknown name.
 func TestEvidenceUploadListFetch(t *testing.T) {
@@ -121,65 +120,6 @@ func TestEvidenceSizeCap(t *testing.T) {
 	}
 	if len(list) != 0 {
 		t.Fatalf("rejected stream was retained: %+v", list)
-	}
-}
-
-// TestEvidenceVersionNegotiationCompat: a version-1 hello still
-// negotiates (Welcome carries 1), but evidence messages on that
-// connection are rejected with CodeBadRequest; a future-max hello
-// negotiates down to the server's own version.
-func TestEvidenceVersionNegotiationCompat(t *testing.T) {
-	_, addr := startServer(t)
-
-	shake := func(min, max uint8) (net.Conn, welcomeMsg) {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		hello := helloMsg{MinVersion: min, MaxVersion: max, Tenant: "default"}
-		if err := WriteFrame(conn, Frame{Version: max, Type: MsgHello, ReqID: 1, Payload: hello.encode()}); err != nil {
-			t.Fatal(err)
-		}
-		f, err := ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Type != MsgWelcome {
-			t.Fatalf("handshake answered with %#x", uint8(f.Type))
-		}
-		w, err := decodeWelcome(f.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn, w
-	}
-
-	conn, w := shake(1, 1)
-	if w.Version != 1 {
-		t.Fatalf("v1 hello negotiated %d, want 1", w.Version)
-	}
-	if err := WriteFrame(conn, Frame{Version: 1, Type: MsgEvidenceList, ReqID: 2}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != MsgError {
-		t.Fatalf("evidence on v1 answered with %#x, want MsgError", uint8(f.Type))
-	}
-	e, err := decodeError(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != CodeBadRequest {
-		t.Fatalf("code = %v, want CodeBadRequest", e.Code)
-	}
-
-	if _, w := shake(1, 9); w.Version != Version {
-		t.Fatalf("future-max hello negotiated %d, want %d", w.Version, Version)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -16,155 +15,6 @@ import (
 	"rev/internal/sigtable"
 	"rev/internal/telemetry"
 )
-
-// recordingProxy forwards TCP both ways and records every client→server
-// byte, so tests can assert on the exact wire image a client produces.
-type recordingProxy struct {
-	ln   net.Listener
-	mu   sync.Mutex
-	sent []byte
-	wg   sync.WaitGroup
-}
-
-func startProxy(t *testing.T, backend string) *recordingProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &recordingProxy{ln: ln}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				defer conn.Close()
-				up, err := net.Dial("tcp", backend)
-				if err != nil {
-					return
-				}
-				defer up.Close()
-				go io.Copy(conn, up)
-				buf := make([]byte, 4096)
-				for {
-					n, err := conn.Read(buf)
-					if n > 0 {
-						p.mu.Lock()
-						p.sent = append(p.sent, buf[:n]...)
-						p.mu.Unlock()
-						if _, werr := up.Write(buf[:n]); werr != nil {
-							return
-						}
-					}
-					if err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	t.Cleanup(func() { ln.Close(); p.wg.Wait() })
-	return p
-}
-
-func (p *recordingProxy) bytes() []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]byte(nil), p.sent...)
-}
-
-// parseFrames splits a recorded byte stream back into frames.
-func parseFrames(t *testing.T, b []byte) []Frame {
-	t.Helper()
-	var out []Frame
-	r := bytes.NewReader(b)
-	for r.Len() > 0 {
-		f, err := ReadFrame(r)
-		if err != nil {
-			t.Fatalf("recorded stream does not reparse at frame %d: %v", len(out), err)
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// TestNegotiateDownByteIdentity pins the v1/v2 interop promise: a client
-// capped at MaxVersion 2 — even with tracing attached — produces a byte
-// stream identical to a telemetry-free version-2 client's, frame for
-// frame. The Hello bytes themselves are pinned against a golden image so
-// the downgrade shape can never drift silently.
-func TestNegotiateDownByteIdentity(t *testing.T) {
-	_, addr := startServer(t)
-
-	run := func(cfg ClientConfig) []byte {
-		proxy := startProxy(t, addr)
-		cfg.Addr = proxy.ln.Addr().String()
-		cfg.PoolSize = 1
-		c := newTestClient(t, cfg)
-		if err := c.Ping(); err != nil {
-			t.Fatal(err)
-		}
-		mods, err := c.Modules()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := c.FetchSnapshot(mods[0].Table.Module); err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-		return proxy.bytes()
-	}
-
-	tel := &telemetry.Set{Reg: telemetry.NewRegistry(), Trace: telemetry.NewRecorder(1 << 10)}
-	traced := run(ClientConfig{MaxVersion: VersionEvidence, Telemetry: tel})
-	plain := run(ClientConfig{MaxVersion: VersionEvidence})
-	if !bytes.Equal(traced, plain) {
-		t.Fatalf("v2-capped byte streams differ with telemetry attached:\n  traced %x\n  plain  %x", traced, plain)
-	}
-
-	frames := parseFrames(t, traced)
-	for i, f := range frames {
-		if f.Version != VersionEvidence {
-			t.Fatalf("frame %d carries version %#x, want %#x on a v2-capped connection", i, f.Version, VersionEvidence)
-		}
-		if f.Flags != 0 {
-			t.Fatalf("frame %d carries flags %#x, want 0 (no FlagTraced below VersionTrace)", i, f.Flags)
-		}
-	}
-
-	// Golden Hello for a v2-capped client (tenant "default", reqid 1):
-	// any change to the downgrade wire shape must be made deliberately,
-	// by re-pinning this image and docs/PROTOCOL.md together.
-	golden := []byte{
-		0x17, 0x00, 0x00, 0x00, // length: 12 header tail + 11 payload
-		0x02, 0x01, 0x00, 0x00, // version 2, MsgHello, flags 0
-		0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // reqid 1
-		0x01, 0x02, // offered range [1,2]
-		0x07, 0x00, 'd', 'e', 'f', 'a', 'u', 'l', 't',
-	}
-	if len(traced) < len(golden) || !bytes.Equal(traced[:len(golden)], golden) {
-		t.Fatalf("v2 Hello bytes drifted:\n  got  %x\n  want %x", traced[:min(len(traced), len(golden))], golden)
-	}
-
-	// A full-version tracing client on the same sequence must mark its
-	// post-handshake frames FlagTraced — proving the downgrade above is
-	// the negotiation's doing, not tracing being inert.
-	tel3 := &telemetry.Set{Reg: telemetry.NewRegistry(), Trace: telemetry.NewRecorder(1 << 10)}
-	v3 := parseFrames(t, run(ClientConfig{Telemetry: tel3}))
-	var flagged int
-	for _, f := range v3[1:] { // Hello is pre-negotiation, never traced
-		if f.Flags&FlagTraced != 0 {
-			flagged++
-		}
-	}
-	if flagged == 0 {
-		t.Fatalf("v3 tracing client set FlagTraced on no post-handshake frame")
-	}
-}
 
 // TestTraceRoundTrip drives coalesced, batched, and snapshot traffic
 // from many goroutines against an instrumented server and asserts the
@@ -343,7 +193,7 @@ func TestShutdownDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := helloMsg{MinVersion: MinSupported, MaxVersion: Version, Tenant: "default"}
+	hello := helloMsg{MinVersion: Version, MaxVersion: Version, Tenant: "default"}
 	if err := WriteFrame(conn, Frame{Version: Version, Type: MsgHello, ReqID: 1, Payload: hello.encode()}); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +261,7 @@ func TestShutdownRefusesHelloWhileDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hold.Close()
-	hello := helloMsg{MinVersion: MinSupported, MaxVersion: Version, Tenant: "default"}
+	hello := helloMsg{MinVersion: Version, MaxVersion: Version, Tenant: "default"}
 	if err := WriteFrame(hold, Frame{Version: Version, Type: MsgHello, ReqID: 1, Payload: hello.encode()}); err != nil {
 		t.Fatal(err)
 	}

@@ -29,46 +29,18 @@ import (
 	"rev/internal/sigtable"
 )
 
-// Version is the newest protocol version this implementation speaks;
-// MinSupported is the oldest. Hello carries the client's [min,max]
-// range, the server answers with the highest version both sides share
-// (MsgWelcome.Version), and every later frame on the connection carries
-// the negotiated version. Version 2 added the evidence message family
-// (MsgEvidencePut..MsgEvidenceData); a version-1 connection answers
-// those with CodeBadRequest. Version 3 added wire-level request tracing
-// (FlagTraced + an 8-byte trace-ID payload prefix); the flag is only
-// interpreted on connections negotiated at or above VersionTrace, so a
-// v1/v2 connection's byte stream is identical to what the older
-// implementations produced (pinned by TestNegotiateDownByteIdentity).
-// Version 4 added the sharded control plane: ring epochs on
-// Hello/Welcome, the snapshot-delta and topology message families, and
-// the CodeWrongShard/CodeOverloaded error codes with structured hints —
-// all version-gated the same way, so v1–v3 byte streams are untouched.
-const (
-	Version      = 0x04
-	MinSupported = 0x01
-	// VersionEvidence is the first version carrying the evidence
-	// messages; Client.UploadEvidence and friends require a connection
-	// negotiated at or above it.
-	VersionEvidence = 0x02
-	// VersionTrace is the first version carrying trace IDs. On a
-	// connection negotiated at or above it, a request frame with
-	// FlagTraced set prefixes its payload with an 8-byte trace ID that
-	// correlates the client-side and server-side spans of one request
-	// (docs/PROTOCOL.md "Request tracing").
-	VersionTrace = 0x03
-	// VersionShard is the first version carrying the sharded control
-	// plane: Hello/Welcome ring epochs, MsgSnapshotDelta/MsgTopology,
-	// and the CodeWrongShard/CodeOverloaded hint fields
-	// (docs/PROTOCOL.md "Sharding and topology").
-	VersionShard = 0x04
-)
+// Version is the one protocol version this implementation speaks
+// (docs/PROTOCOL.md "Versions" records why there is only one). Hello
+// carries the client's offered [min,max] range; a server accepts any
+// range that contains Version, answers with Version in
+// MsgWelcome.Version, and every later frame on the connection carries
+// it. The range stays on the wire as the forward-compatibility seam: a
+// newer client may offer [Version,N] and append Hello fields this
+// server ignores (decodeHello).
+const Version = 0x04
 
 // FlagTraced marks a frame whose payload begins with an 8-byte
-// little-endian trace ID (version >= VersionTrace connections only).
-// The flags field was reserved-as-zero in earlier versions, so setting
-// the bit on a v3 connection cannot be misread by this implementation's
-// v1/v2 handling — those code paths never inspect flags.
+// little-endian trace ID (docs/PROTOCOL.md "Request tracing").
 const FlagTraced uint16 = 1 << 0
 
 // Frame header geometry (docs/PROTOCOL.md "Frame layout").
@@ -123,7 +95,6 @@ const (
 	MsgError MsgType = 0x0D
 	// MsgEvidencePut uploads one attestation evidence stream
 	// (internal/evidence) under a name in the tenant's namespace.
-	// Version 2+ only.
 	MsgEvidencePut MsgType = 0x0E
 	// MsgEvidenceAck answers MsgEvidencePut: bytes retained + how many
 	// older streams were evicted to make room.
@@ -138,14 +109,13 @@ const (
 	MsgEvidenceData MsgType = 0x13
 	// MsgSnapshotDelta asks for the changes between the client's cached
 	// snapshot (identified by its chain hash) and the module's current
-	// generation. Version 4+ only.
+	// generation.
 	MsgSnapshotDelta MsgType = 0x14
 	// MsgSnapshotDeltaData answers MsgSnapshotDelta: either a patch list
 	// chained off the prior snapshot's hash, or (on chain mismatch) the
 	// full record image.
 	MsgSnapshotDeltaData MsgType = 0x15
-	// MsgTopology asks for the serving side's ring topology. Version 4+
-	// only.
+	// MsgTopology asks for the serving side's ring topology.
 	MsgTopology MsgType = 0x16
 	// MsgTopologyData answers MsgTopology: ring epoch, replication
 	// factor, virtual-node count, and the shard membership list.
@@ -157,8 +127,8 @@ type ErrCode uint16
 
 // Wire error codes (docs/PROTOCOL.md "Error codes").
 const (
-	// CodeBadVersion: no overlap between the client's version range and
-	// the server's. Fatal for the connection.
+	// CodeBadVersion: the client's offered version range does not
+	// contain Version. Fatal for the connection.
 	CodeBadVersion ErrCode = 1
 	// CodeUnknownTenant: Hello named a tenant the server does not host.
 	CodeUnknownTenant ErrCode = 2
@@ -177,16 +147,14 @@ const (
 	// not retain (never uploaded, or already evicted).
 	CodeUnknownEvidence ErrCode = 8
 	// CodeWrongShard: this shard does not own the tenant under the
-	// current ring placement. On version-4 connections the error carries
-	// the owning shard's address and the server's ring epoch as hints;
-	// clients re-route to the named owner (bounded by
-	// ClientConfig.MaxRedirects).
+	// current ring placement. The error carries the owning shard's
+	// address and the server's ring epoch as hints; clients re-route to
+	// the named owner (bounded by ClientConfig.MaxRedirects).
 	CodeWrongShard ErrCode = 9
 	// CodeOverloaded: the shard's admission token bucket rejected the
-	// request. On version-4 connections the error carries a
-	// retry-after-milliseconds hint; overload is backpressure, not
-	// failure, so clients retry after the hint instead of tripping the
-	// breaker.
+	// request. The error carries a retry-after-milliseconds hint;
+	// overload is backpressure, not failure, so clients retry after the
+	// hint instead of tripping the breaker.
 	CodeOverloaded ErrCode = 10
 )
 
@@ -297,13 +265,13 @@ func withTrace(id uint64, payload []byte) []byte {
 }
 
 // TakeTrace strips the FlagTraced trace-ID prefix from the frame's
-// payload when ver negotiated tracing and the flag is set. It returns
-// the trace ID and true, leaving f.Payload pointing at the logical
-// payload; ok=false with id 0 when the frame is untraced. A flagged
-// frame too short to hold the prefix returns ok=false with traced=true
-// so callers can answer CodeBadRequest.
-func (f *Frame) TakeTrace(ver uint8) (id uint64, ok, traced bool) {
-	if ver < VersionTrace || f.Flags&FlagTraced == 0 {
+// payload when the flag is set. It returns the trace ID and true,
+// leaving f.Payload pointing at the logical payload; ok=false with id 0
+// when the frame is untraced. A flagged frame too short to hold the
+// prefix returns ok=false with traced=true so callers can answer
+// CodeBadRequest.
+func (f *Frame) TakeTrace() (id uint64, ok, traced bool) {
+	if f.Flags&FlagTraced == 0 {
 		return 0, false, false
 	}
 	if len(f.Payload) < 8 {
@@ -441,13 +409,11 @@ func (d *dec) done() error {
 
 // ---- message payloads ------------------------------------------------
 
-// helloMsg is MsgHello's payload. Hello is version-invariant: it is the
-// one message sent before negotiation settles, so every server version
-// ever deployed must parse it — a field gated on the *offered* maximum
-// would make an uncapped new client unreadable to older servers and
-// break negotiating down (the TestNegotiateDownByteIdentity contract).
-// Version-gated data therefore never rides on Hello; the v4 ring epoch
-// travels server→client in Welcome and in error hints instead.
+// helloMsg is MsgHello's payload: the client's offered version range
+// and the tenant it binds. Its layout is fixed for every version, since
+// it is the one message a server must parse before it knows which
+// version the client speaks; data for newer versions travels
+// server->client in Welcome and in error hints instead.
 type helloMsg struct {
 	MinVersion, MaxVersion uint8
 	Tenant                 string
@@ -470,7 +436,7 @@ func decodeHello(b []byte) (helloMsg, error) {
 	}
 	// Forward compatibility: a client offering a newer version than this
 	// server speaks may append Hello fields we do not know. The
-	// negotiated version never exceeds ours, so ignoring them is safe —
+	// connection never runs above our version, so ignoring them is safe —
 	// and it is what lets a future version extend Hello at all.
 	if d.fail == nil && m.MaxVersion > Version {
 		d.off = len(d.b)
@@ -478,9 +444,7 @@ func decodeHello(b []byte) (helloMsg, error) {
 	return m, d.done()
 }
 
-// welcomeMsg is MsgWelcome's payload. RingEpoch rides only when the
-// chosen version is VersionShard or newer (version-gated trailing
-// field; v1–v3 Welcomes are byte-identical to older implementations').
+// welcomeMsg is MsgWelcome's payload.
 type welcomeMsg struct {
 	Version uint8
 	// Epoch is the server's table-generation counter at accept time; a
@@ -488,7 +452,6 @@ type welcomeMsg struct {
 	// staleness without a separate round trip.
 	Epoch uint64
 	// RingEpoch is the server's topology generation (0 when unsharded).
-	// Chosen version >= VersionShard only.
 	RingEpoch uint64
 }
 
@@ -496,27 +459,20 @@ func (m welcomeMsg) encode() []byte {
 	var e enc
 	e.u8(m.Version)
 	e.u64(m.Epoch)
-	if m.Version >= VersionShard {
-		e.u64(m.RingEpoch)
-	}
+	e.u64(m.RingEpoch)
 	return e.b
 }
 
 func decodeWelcome(b []byte) (welcomeMsg, error) {
 	d := dec{b: b}
-	m := welcomeMsg{Version: d.u8("version"), Epoch: d.u64("epoch")}
-	if m.Version >= VersionShard {
-		m.RingEpoch = d.u64("ringEpoch")
-	}
+	m := welcomeMsg{Version: d.u8("version"), Epoch: d.u64("epoch"), RingEpoch: d.u64("ringEpoch")}
 	return m, d.done()
 }
 
-// errorMsg is MsgError's payload. The three hint fields are a
-// version-4 trailing extension: encoded only when the connection
-// negotiated VersionShard AND the code defines a hint (CodeWrongShard
-// carries Owner+RingEpoch, CodeOverloaded carries RetryAfterMillis);
-// decoders accept both shapes, so older peers see the classic
-// code+detail payload byte for byte.
+// errorMsg is MsgError's payload: code + detail, followed by three hint
+// fields only for the codes that define them (CodeWrongShard carries
+// Owner+RingEpoch, CodeOverloaded carries RetryAfterMillis); every
+// other code is the bare code+detail payload.
 type errorMsg struct {
 	Code   ErrCode
 	Detail string
@@ -529,21 +485,16 @@ type errorMsg struct {
 	RingEpoch uint64
 }
 
-// hasHints reports whether the code defines version-4 hint fields.
+// hasHints reports whether the code defines the hint fields.
 func (m errorMsg) hasHints() bool {
 	return m.Code == CodeWrongShard || m.Code == CodeOverloaded
 }
 
-func (m errorMsg) encode() []byte { return m.encodeAt(0) }
-
-// encodeAt renders the payload for a connection negotiated at ver:
-// hints ride only on VersionShard+ connections and only for codes that
-// define them.
-func (m errorMsg) encodeAt(ver uint8) []byte {
+func (m errorMsg) encode() []byte {
 	var e enc
 	e.u16(uint16(m.Code))
 	e.str(m.Detail)
-	if ver >= VersionShard && m.hasHints() {
+	if m.hasHints() {
 		e.u32(m.RetryAfterMillis)
 		e.str(m.Owner)
 		e.u64(m.RingEpoch)

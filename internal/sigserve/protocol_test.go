@@ -94,30 +94,29 @@ func TestLookupPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloVersionInvariant pins that Hello never grows version-gated
-// fields: it is the one message sent before negotiation settles, so an
-// uncapped client's Hello must parse on every server version ever
-// deployed. Its encoding is therefore the pre-v4 shape whatever maximum
-// is offered, and trailing bytes are tolerated only from clients
-// offering a version newer than this server speaks (the seam that lets
-// a future version extend Hello at all).
+// TestHelloVersionInvariant pins Hello's fixed layout against a golden
+// image of the reference client's Hello. Hello is the one message a
+// server parses before it knows the client's version, so its shape
+// never depends on the range offered; trailing bytes are tolerated only
+// from clients offering a version newer than this server speaks (the
+// seam that lets a future version extend Hello at all).
 func TestHelloVersionInvariant(t *testing.T) {
-	uncapped := helloMsg{MinVersion: MinSupported, MaxVersion: Version, Tenant: "default"}.encode()
-	want := []byte{MinSupported, Version, 7, 0, 'd', 'e', 'f', 'a', 'u', 'l', 't'}
-	if !bytes.Equal(uncapped, want) {
-		t.Fatalf("uncapped Hello encodes to % x, want pre-v4 shape % x", uncapped, want)
+	hello := helloMsg{MinVersion: Version, MaxVersion: Version, Tenant: "default"}.encode()
+	want := []byte{0x04, 0x04, 7, 0, 'd', 'e', 'f', 'a', 'u', 'l', 't'}
+	if !bytes.Equal(hello, want) {
+		t.Fatalf("Hello encodes to % x, want % x", hello, want)
 	}
-	if _, err := decodeHello(uncapped); err != nil {
+	if _, err := decodeHello(hello); err != nil {
 		t.Fatal(err)
 	}
 	// Trailing bytes from a client offering our version or older stay a
 	// framing violation...
-	if _, err := decodeHello(append(append([]byte(nil), uncapped...), 1, 2, 3)); err == nil {
+	if _, err := decodeHello(append(append([]byte(nil), hello...), 1, 2, 3)); err == nil {
 		t.Fatal("trailing bytes accepted from a client offering our version")
 	}
 	// ...but from a future-version client they are an unknown extension
 	// and are ignored.
-	future := append([]byte{MinSupported, Version + 1, 7, 0, 'd', 'e', 'f', 'a', 'u', 'l', 't'}, 1, 2, 3)
+	future := append([]byte{Version, Version + 1, 7, 0, 'd', 'e', 'f', 'a', 'u', 'l', 't'}, 1, 2, 3)
 	m, err := decodeHello(future)
 	if err != nil {
 		t.Fatalf("future-version Hello with unknown extension rejected: %v", err)
@@ -155,11 +154,66 @@ func FuzzReadFrame(f *testing.F) {
 		decodeModuleList(data)
 		decodeSnapshotReq(data)
 		decodeSnapshotData(data)
+		decodeSnapshotDeltaReq(data)
+		decodeSnapshotDeltaData(data)
+		decodeTopologyData(data)
 		decodeLookupBatch(data)
 		decodeLookupBatchRes(data)
+		decodeEvidencePut(data)
+		decodeEvidenceAck(data)
+		decodeEvidenceCatalog(data)
+		decodeEvidenceGet(data)
+		decodeEvidenceData(data)
 		d := dec{b: data}
 		decodeLookupReq(&d)
 		d2 := dec{b: data}
 		decodeLookupRes(&d2)
+	})
+}
+
+// FuzzApplyDelta feeds applyDelta a decoded MsgSnapshotDeltaData
+// payload and a cached wire image. It must never panic, and an image it
+// accepts must be exactly Records records long and hash to NewHash —
+// the chain check is the only thing standing between a hostile delta
+// and the validator's table. The seeds are the response of
+// Example_snapshotDeltaRoundTrip (whose new-hash is arbitrary, so it
+// exercises the rejection path) and the same patch with a consistent
+// chain head (the acceptance path).
+func FuzzApplyDelta(f *testing.F) {
+	example := snapshotDeltaData{
+		Table:    sigtable.Table{Format: sigtable.CFIOnly, Module: "gcc", Base: 0x400000, Buckets: 4, Records: 4, Size: 64},
+		Epoch:    4,
+		PrevHash: 0x1122334455667788,
+		NewHash:  0x99aabbccddeeff00,
+		Patches: []deltaPatch{
+			{Index: 2, Rec: []byte{0x58, 0x03, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00}},
+		},
+	}
+	cached := make([]byte, 4*sigtable.CFIRecordSize)
+	f.Add(example.encode(), cached)
+	want := append([]byte(nil), cached...)
+	copy(want[2*sigtable.CFIRecordSize:], example.Patches[0].Rec)
+	consistent := example
+	consistent.NewHash = snapHash(example.Table, want)
+	f.Add(consistent.encode(), cached)
+	f.Fuzz(func(t *testing.T, payload, old []byte) {
+		d, err := decodeSnapshotDeltaData(payload)
+		if err != nil {
+			return
+		}
+		out, err := applyDelta(old, d)
+		if err != nil {
+			return
+		}
+		recSize := uint64(sigtable.RecordSize)
+		if d.Table.Format == sigtable.CFIOnly {
+			recSize = sigtable.CFIRecordSize
+		}
+		if uint64(len(out)) != d.Table.Records*recSize {
+			t.Fatalf("applied image is %d bytes, want %d records of %d", len(out), d.Table.Records, recSize)
+		}
+		if snapHash(d.Table, out) != d.NewHash {
+			t.Fatal("applied image does not hash to the stated chain head")
+		}
 	})
 }

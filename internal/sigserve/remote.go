@@ -90,16 +90,13 @@ func (s *RemoteSource) Epoch() uint64 { return s.gen.Load().epoch }
 // record patches onto the cached image, verifying the result hashes to
 // the server's stated chain head. Any break in the chain — the server
 // could not delta from our generation, a patch fails the hash check —
-// falls back to one full snapshot fetch. Against a pre-VersionShard
-// server Refresh is a full fetch. The swap is atomic; engines serving
-// from the old generation finish against it. Concurrent Refresh calls
-// are serialized so an older fetch can never overwrite a newer one.
+// falls back to one full snapshot fetch. The swap is atomic; engines
+// serving from the old generation finish against it. Concurrent Refresh
+// calls are serialized so an older fetch can never overwrite a newer
+// one.
 func (s *RemoteSource) Refresh() error {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	if s.c.NegotiatedVersion() < VersionShard {
-		return s.refreshFull()
-	}
 	g := s.gen.Load()
 	wire := g.snap.AppendWire(nil)
 	have := snapHash(g.table, wire)

@@ -139,32 +139,128 @@ func TestServerRejectsUnknownTenantAndModule(t *testing.T) {
 	}
 }
 
+// TestServerVersionNegotiation drives the handshake with raw Hello
+// frames. Any offered range containing Version is welcomed at Version:
+// the [1,4] Hello that clients sent while the protocol still had four
+// versions (pinned byte for byte), the reference client's [4,4], and a
+// [4,9] Hello whose trailing bytes are a newer version's extension. A
+// range without Version is refused with bad-version and the connection
+// is closed.
 func TestServerVersionNegotiation(t *testing.T) {
 	_, addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	hello := func(min, max uint8, trailing ...byte) []byte {
+		payload := append(helloMsg{MinVersion: min, MaxVersion: max, Tenant: "default"}.encode(), trailing...)
+		return AppendFrame(nil, Frame{Version: max, Type: MsgHello, ReqID: 1, Payload: payload})
 	}
-	defer conn.Close()
-	// Offer a future-only version range: the server must answer with a
-	// CodeBadVersion error naming its own version.
-	hello := helloMsg{MinVersion: 9, MaxVersion: 12, Tenant: "default"}
-	if err := WriteFrame(conn, Frame{Version: 9, Type: MsgHello, ReqID: 1, Payload: hello.encode()}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		frame   []byte
+		welcome bool
+	}{
+		{"[1,4] four-version client", []byte{
+			0x17, 0x00, 0x00, 0x00, // length: 12 header tail + 11 payload
+			0x04, 0x01, 0x00, 0x00, // version 4, MsgHello, flags 0
+			0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // reqid 1
+			0x01, 0x04, // offered range [1,4]
+			0x07, 0x00, 'd', 'e', 'f', 'a', 'u', 'l', 't',
+		}, true},
+		{"[4,4]", hello(4, 4), true},
+		{"[4,9] with trailing bytes", hello(4, 9, 0xaa, 0xbb, 0xcc), true},
+		{"[1,1]", hello(1, 1), false},
+		{"[1,3]", hello(1, 3), false},
+		{"[9,12]", hello(9, 12), false},
 	}
-	f, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			f, err := ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Version != Version || f.ReqID != 1 {
+				t.Fatalf("answer carries version %d reqid %d, want %d and 1", f.Version, f.ReqID, Version)
+			}
+			if tc.welcome {
+				if f.Type != MsgWelcome {
+					t.Fatalf("got %#x, want MsgWelcome", uint8(f.Type))
+				}
+				w, err := decodeWelcome(f.Payload)
+				if err != nil || w.Version != Version {
+					t.Fatalf("Welcome %+v (err %v), want version %d", w, err, Version)
+				}
+				// The connection serves requests after the Welcome.
+				if err := WriteFrame(conn, Frame{Version: Version, Type: MsgPing, ReqID: 2}); err != nil {
+					t.Fatal(err)
+				}
+				if f, err := ReadFrame(conn); err != nil || f.Type != MsgPong {
+					t.Fatalf("Ping after Welcome: type %#x, err %v", uint8(f.Type), err)
+				}
+				return
+			}
+			if f.Type != MsgError {
+				t.Fatalf("got %#x, want MsgError", uint8(f.Type))
+			}
+			e, err := decodeError(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Code != CodeBadVersion || !strings.Contains(e.Detail, fmt.Sprintf("server speaks version %d", Version)) {
+				t.Fatalf("got %+v, want CodeBadVersion naming the server's version", e)
+			}
+			if _, err := ReadFrame(conn); err == nil {
+				t.Fatal("connection stayed open after bad-version")
+			}
+		})
 	}
-	if f.Type != MsgError {
-		t.Fatalf("got %#x, want MsgError", uint8(f.Type))
+}
+
+// TestFirstCallCostsOneRequest: a fresh client's first UploadEvidence
+// and first FetchTopology each reach the server as exactly one request.
+// The handshake is not a request, and no pre-flight round trip comes
+// before either call.
+func TestFirstCallCostsOneRequest(t *testing.T) {
+	f := fixture(t)
+	calls := []struct {
+		name string
+		call func(*Client) error
+	}{
+		{"UploadEvidence", func(c *Client) error {
+			_, err := c.UploadEvidence("run-1", []byte{1, 2, 3})
+			return err
+		}},
+		{"FetchTopology", func(c *Client) error {
+			_, err := c.FetchTopology()
+			return err
+		}},
 	}
-	e, err := decodeError(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != CodeBadVersion || !strings.Contains(e.Detail, fmt.Sprintf("versions [%d,%d]", MinSupported, Version)) {
-		t.Fatalf("got %+v, want CodeBadVersion naming the server's version range", e)
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer()
+			reg := telemetry.NewRegistry()
+			srv.Instrument(&telemetry.Set{Reg: reg})
+			for _, st := range f.prep.Tables {
+				srv.Publish("default", st.Module, *st.Table, st.Snap)
+			}
+			_, addr := serveOn(t, srv)
+			c := newTestClient(t, ClientConfig{Addr: addr})
+			if err := tc.call(c); err != nil {
+				t.Fatal(err)
+			}
+			// Close waits for the connection goroutine, so every request
+			// the server handled has been counted.
+			srv.Close()
+			if got := reg.Snapshot().Counters["sigserve_server_requests_total"]; got != 1 {
+				t.Fatalf("first %s cost %d server requests, want 1", tc.name, got)
+			}
+		})
 	}
 }
 

@@ -285,11 +285,11 @@ func (s *Server) handleTopology(cs *connState, f Frame) bool {
 	return s.reply(cs, f.ReqID, MsgTopologyData, resp.encode())
 }
 
-// sendErrMsg writes one MsgError with its version-4 hint fields (when
-// the connection speaks them) and counts it by code.
+// sendErrMsg writes one MsgError, hint fields included for the codes
+// that define them, and counts it by code.
 func (s *Server) sendErrMsg(cs *connState, reqID uint64, m errorMsg) bool {
 	if s.tel != nil && int(m.Code) > 0 && int(m.Code) < len(s.tel.errCodes) {
 		s.tel.errCodes[m.Code].Inc()
 	}
-	return s.reply(cs, reqID, MsgError, m.encodeAt(cs.ver))
+	return s.reply(cs, reqID, MsgError, m.encode())
 }

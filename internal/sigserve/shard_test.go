@@ -570,20 +570,13 @@ func TestAdmissionOverloadRetryAfter(t *testing.T) {
 		t.Fatal("admission control never rejected; the test exercised nothing")
 	}
 
-	// The hint itself must survive the wire on v4 and be absent pre-v4.
+	// The hint itself must survive the wire.
 	m := errorMsg{Code: CodeOverloaded, Detail: "busy", RetryAfterMillis: 21, RingEpoch: 3}
-	got, err := decodeError(m.encodeAt(Version))
+	got, err := decodeError(m.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.RetryAfterMillis != 21 || got.RingEpoch != 3 {
-		t.Fatalf("v4 hint round trip lost fields: %+v", got)
-	}
-	old, err := decodeError(m.encodeAt(VersionTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.RetryAfterMillis != 0 || old.RingEpoch != 0 {
-		t.Fatalf("pre-v4 encoding leaked hint fields: %+v", old)
+		t.Fatalf("hint round trip lost fields: %+v", got)
 	}
 }
