@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"rev/internal/core"
-	"rev/internal/sigtable"
-	"rev/internal/workload"
 )
 
 // scalePoint is one lanes×procs cell of the scaling sweep.
@@ -122,20 +120,14 @@ func measurePoint(prep *core.Prepared, opts core.InstanceOptions, rounds int) (*
 }
 
 // probeScaling sweeps the pipelined executor across lanes × GOMAXPROCS
-// and writes the self-annotating scaling record. It fails on
-// any identity divergence; the allocs-per-run gate is the caller's
-// (allocBudget, normally 0).
-func probeScaling(instrs uint64, scale float64, rounds int, allocBudget uint64) (*scalingReport, error) {
-	p, err := workload.ByName("bzip2")
+// and writes the self-annotating scaling record. It fails on any
+// identity divergence and on any point past scalingAllocs allocations
+// per run.
+func probeScaling(instrs uint64, scale float64, rounds int) (*scalingReport, error) {
+	p, rc, err := protectedBzip2(instrs, scale)
 	if err != nil {
 		return nil, err
 	}
-	p = p.Scaled(scale)
-	rc := core.DefaultRunConfig()
-	rc.MaxInstrs = instrs
-	cfg := core.DefaultConfig()
-	cfg.Format = sigtable.Normal
-	rc.REV = &cfg
 	if rounds < 1 {
 		rounds = 1
 	}
@@ -225,9 +217,9 @@ func probeScaling(instrs uint64, scale float64, rounds int, allocBudget uint64) 
 	if !allIdentical {
 		return rep, fmt.Errorf("pipelined result diverged from serial at one or more sweep points")
 	}
-	if rep.MaxAllocsPerRun > allocBudget {
+	if rep.MaxAllocsPerRun > scalingAllocs {
 		return rep, fmt.Errorf("steady-state allocations: %d allocs/run at the worst sweep point, budget %d",
-			rep.MaxAllocsPerRun, allocBudget)
+			rep.MaxAllocsPerRun, scalingAllocs)
 	}
 	return rep, nil
 }

@@ -11,37 +11,8 @@ import (
 // 256 slots and these programs retire thousands of blocks, so every run
 // crosses ring wraparound mid-batch many times over.
 
-// TestBatchIdentitySweep is the lanes×format identity matrix: for every
-// signature-table format and every lane count the batched pipeline must
-// reproduce the serial run byte-for-byte, including the partial batch
-// flushed at halt (the tail block count is not a multiple of the depth).
-func TestBatchIdentitySweep(t *testing.T) {
-	for _, format := range []sigtable.Format{sigtable.Normal, sigtable.Aggressive, sigtable.CFIOnly} {
-		rc := DefaultRunConfig()
-		rc.MaxInstrs = 60_000
-		rc.REV = revConfig(format, 8)
-		prep, err := Prepare(builderOf(loopProgram), rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := prep.RunInstance(InstanceOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Violation != nil || !serial.Halted {
-			t.Fatalf("%v: serial reference run broken: vio=%v halted=%v",
-				format, serial.Violation, serial.Halted)
-		}
-		for _, lanes := range []int{1, 2, 4} {
-			tag := format.String() + "/lanes=" + itoa(lanes)
-			piped, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
-			}
-			mustMatch(t, tag, serial, piped)
-		}
-	}
-}
+// The lanes×format identity matrix, including the partial batch flushed
+// at halt, is TestPipelinedMatchesSerial (pipeline_test.go).
 
 // TestBatchSMCFenceParity puts the SMC epoch fence inside a batch: the
 // code-version bump arrives while the producer holds unpublished claimed

@@ -10,6 +10,7 @@ import (
 	"rev/internal/isa"
 	"rev/internal/prog"
 	"rev/internal/sigtable"
+	"rev/internal/workload"
 )
 
 // normMemo clears the simulator-internal signature-memo counters: the
@@ -58,33 +59,57 @@ func mustMatch(t *testing.T, tag string, serial, piped *Result) {
 	}
 }
 
-// TestPipelinedMatchesSerial is the intra-run analogue of PR 2's
-// parallel-identity probe: for every table format and lane count, the
-// pipelined executor must be observationally byte-identical to the serial
-// loop — same simulated cycles, same SC behaviour, same output.
+// TestPipelinedMatchesSerial is the intra-run analogue of the fleet's
+// parallel-identity check: for every input, table format and lane count,
+// the pipelined executor must be observationally byte-identical to the
+// serial loop — same simulated cycles, same SC behaviour, same output —
+// including the partial publish batch flushed at halt. The inputs are a
+// hand-written loop and the generated full-scale bzip2 program.
 func TestPipelinedMatchesSerial(t *testing.T) {
-	for _, format := range []sigtable.Format{sigtable.Normal, sigtable.Aggressive, sigtable.CFIOnly} {
+	bzip2, err := workload.ByName("bzip2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []struct {
+		name   string
+		build  func() (*prog.Program, error)
+		instrs uint64
+		halts  bool // the run ends at the program's halt, not the budget
+	}{
+		{"loop", builderOf(loopProgram), 60_000, true},
+		{"bzip2", bzip2.Builder(), 120_000, false},
+	}
+	for _, in := range inputs {
+		// One load per input: only table signing differs by format.
 		rc := DefaultRunConfig()
-		rc.MaxInstrs = 60_000
-		rc.REV = revConfig(format, 8)
-		prep, err := Prepare(builderOf(loopProgram), rc)
+		rc.MaxInstrs = in.instrs
+		rc.REV = revConfig(sigtable.Normal, 8)
+		img, err := Load(in.build, rc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := prep.RunInstance(InstanceOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Violation != nil || !serial.Halted {
-			t.Fatalf("%v: serial reference run broken: vio=%v halted=%v",
-				format, serial.Violation, serial.Halted)
-		}
-		for _, lanes := range []int{1, 2, 4} {
-			piped, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
+		for _, format := range []sigtable.Format{sigtable.Normal, sigtable.Aggressive, sigtable.CFIOnly} {
+			tag := in.name + "/" + format.String()
+			rc.REV = revConfig(format, 8)
+			prep, err := img.Prepare(rc)
 			if err != nil {
-				t.Fatalf("%v lanes=%d: %v", format, lanes, err)
+				t.Fatal(err)
 			}
-			mustMatch(t, format.String()+"/lanes="+itoa(lanes), serial, piped)
+			serial, err := prep.RunInstance(InstanceOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial.Violation != nil || serial.Halted != in.halts {
+				t.Fatalf("%s: serial reference run broken: vio=%v halted=%v",
+					tag, serial.Violation, serial.Halted)
+			}
+			for _, lanes := range []int{1, 2, 3, 4} {
+				piped, err := prep.RunInstance(InstanceOptions{Lanes: lanes})
+				if err != nil {
+					t.Fatalf("%s lanes=%d: %v", tag, lanes, err)
+				}
+				mustMatch(t, tag+"/lanes="+itoa(lanes), serial, piped)
+			}
 		}
 	}
 }

@@ -60,10 +60,12 @@ type Stats struct {
 	// RingStalls counts hot-path waits for encoder back-pressure.
 	RingStalls uint64
 	// EncodeSeconds is the background encoder's busy time — hashing,
-	// framing, and writing records. On a multi-core host this work
-	// overlaps the run; on a single core it time-slices with it, so
-	// wall-clock overhead minus EncodeSeconds approximates the commit
-	// hot path's own cost (the number revbench -evidencejson gates).
+	// framing, and writing records. On a single core it time-slices
+	// with the run, so wall-clock overhead minus EncodeSeconds
+	// approximates the commit hot path's own cost (the evidence term
+	// revbench -teljson gates at GOMAXPROCS 1). On more cores the
+	// encoder runs beside the run, but the wall overhead measured there
+	// is not zero (docs/EVIDENCE.md "Emitter architecture").
 	EncodeSeconds float64
 }
 

@@ -70,7 +70,7 @@ func newTestWorld() *testWorld {
 
 // emit runs the world's commit sequence through a real emitter and
 // returns the stream bytes.
-func (w *testWorld) emit(t *testing.T, cfg Config) []byte {
+func (w *testWorld) emit(t testing.TB, cfg Config) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	em := NewEmitter(&buf, cfg)
@@ -90,6 +90,23 @@ func (w *testWorld) verify(stream []byte, tenant string) (*Report, error) {
 	return Verify(stream, VerifyConfig{
 		Tenant:  tenant,
 		Sources: map[string]sigtable.Source{"m": w.src},
+	})
+}
+
+// FuzzVerify feeds Verify streams mutated from one the emitter wrote.
+// Verify (and Peek) must never panic, and no input but that stream may
+// verify as a pass: the chain covers every byte of every record, so an
+// edit must be rejected, never accepted or turned into another verdict.
+func FuzzVerify(f *testing.F) {
+	w := newTestWorld()
+	seed := w.emit(f, Config{Tenant: "acme", Binding: "demo", Window: 3})
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		Peek(stream)
+		rep, err := w.verify(stream, "acme")
+		if err == nil && !bytes.Equal(stream, seed) {
+			t.Fatalf("altered stream verified (verdict %v): %x", rep.Outcome.Verdict, stream)
+		}
 	})
 }
 

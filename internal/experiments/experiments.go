@@ -246,8 +246,8 @@ func (s *Suite) Prefetch(variants []Variant, scKBs []int) error {
 }
 
 // FleetReport returns the merged per-worker metrics of every Prefetch
-// this suite has executed (nil before the first), for the machine-
-// readable record revbench -parjson emits.
+// this suite has executed (nil before the first), the fleet.* layer
+// metrics of perfbench's figures workload.
 func (s *Suite) FleetReport() *fleet.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -23,8 +23,8 @@
 //     does not idle the rest of the fleet.
 //
 // The instrumented Runner additionally records, per worker, the jobs
-// executed, busy wall time, and validated-block throughput; cmd/revbench
-// folds these into BENCH_parallel.json.
+// executed, busy wall time, and validated-block throughput; perfbench's
+// figures workload reports them as its fleet.* layer metrics.
 package fleet
 
 import (
@@ -152,8 +152,8 @@ func (r *Runner[T, R]) Run(items []T) ([]R, *Report, error) {
 	// goroutines can only time-slice — the pool is pure overhead. Run the
 	// jobs inline on the caller goroutine: no goroutines, no atomic
 	// cursor, no WaitGroup, and byte-identical results (collection is
-	// input-ordered either way). BENCH_parallel.json on a 1-CPU host
-	// recorded speedup < 1.0 before this path existed.
+	// input-ordered either way). On a 1-CPU host the pool measured a
+	// speedup below 1.0 before this path existed.
 	if workers == 1 || runtime.GOMAXPROCS(0) == 1 {
 		return r.runInline(items)
 	}

@@ -211,8 +211,8 @@ func TestRunnerConcurrent(t *testing.T) {
 // TestInlineDegenerateFleet is the regression test for the 1-CPU fleet:
 // when workers==1 (any host) or GOMAXPROCS==1 (any requested width), jobs
 // must run inline on the caller goroutine — no pool goroutines at all —
-// and the report must say so. BENCH_parallel.json recorded speedup < 1.0
-// on a 1-CPU box before this path existed.
+// and the report must say so. On a 1-CPU box the pool measured a speedup
+// below 1.0 before this path existed.
 func TestInlineDegenerateFleet(t *testing.T) {
 	assertInline := func(tag string, workers int) {
 		t.Helper()

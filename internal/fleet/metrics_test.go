@@ -13,8 +13,8 @@ import (
 // worker, busy + idle time must reconcile with the fleet wall clock
 // exactly (WallSeconds + IdleSeconds == Report.WallSeconds), and every
 // job's queue wait must be non-negative and bounded by the wall clock —
-// the accounting contract docs/OBSERVABILITY.md promises for
-// BENCH_parallel.json.
+// the accounting contract docs/OBSERVABILITY.md promises for the fleet
+// report.
 func TestWorkerClockReconciliation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	items := make([]int, 24)

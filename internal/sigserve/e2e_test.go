@@ -24,8 +24,8 @@ func resultSig(res *core.Result) string {
 
 // TestRemoteRunByteIdentity is the acceptance check: a run validating
 // against a revserved endpoint — in snapshot mode and in per-entry
-// lookup mode — produces byte-identical verdicts and figures to the
-// in-process snapshot path.
+// lookup mode, with no service delay and with 1 ms — produces
+// byte-identical verdicts and figures to the in-process snapshot path.
 func TestRemoteRunByteIdentity(t *testing.T) {
 	f := fixture(t)
 	local, err := f.prep.RunInstance(core.InstanceOptions{})
@@ -37,27 +37,33 @@ func TestRemoteRunByteIdentity(t *testing.T) {
 	}
 	want := resultSig(local)
 
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	for _, lookupMode := range []bool{false, true} {
 		name := "snapshot"
 		if lookupMode {
 			name = "lookup"
 		}
 		t.Run(name, func(t *testing.T) {
-			c := newTestClient(t, ClientConfig{Addr: addr, LookupMode: lookupMode})
-			prep, err := core.PrepareRemote(f.prof.Builder(), f.rc, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := prep.RunInstance(core.InstanceOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.SourceNotes != nil {
-				t.Fatalf("healthy remote run carries source notes: %+v", res.SourceNotes)
-			}
-			if got := resultSig(res); got != want {
-				t.Fatalf("remote %s run diverged from local:\n got %s\nwant %s", name, got, want)
+			for _, delay := range []time.Duration{0, time.Millisecond} {
+				t.Run("delay="+delay.String(), func(t *testing.T) {
+					srv.SetDelay(delay)
+					defer srv.SetDelay(0)
+					c := newTestClient(t, ClientConfig{Addr: addr, LookupMode: lookupMode})
+					prep, err := core.PrepareRemote(f.prof.Builder(), f.rc, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := prep.RunInstance(core.InstanceOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.SourceNotes != nil {
+						t.Fatalf("healthy remote run carries source notes: %+v", res.SourceNotes)
+					}
+					if got := resultSig(res); got != want {
+						t.Fatalf("remote %s run diverged from local:\n got %s\nwant %s", name, got, want)
+					}
+				})
 			}
 		})
 	}

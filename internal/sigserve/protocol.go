@@ -53,6 +53,10 @@ const (
 	// MaxPayload bounds a frame's payload; larger frames are a protocol
 	// error (guards both sides against corrupt or hostile lengths).
 	MaxPayload = 16 << 20
+	// frameChunk is the most payload memory ReadFrame commits ahead of
+	// the bytes that fill it: shorter payloads get one exact allocation,
+	// longer ones grow as their bytes arrive.
+	frameChunk = 64 << 10
 	// maxStringLen bounds any length-prefixed string on the wire.
 	maxStringLen = 1 << 10
 	// maxListLen bounds any u16-counted list on the wire.
@@ -221,7 +225,9 @@ var errFrame = errors.New("sigserve: malformed frame")
 // ReadFrame reads exactly one frame. A short read mid-frame returns
 // io.ErrUnexpectedEOF; a clean EOF before any byte returns io.EOF; a
 // length field below the header minimum or above MaxPayload returns an
-// error wrapping errFrame.
+// error wrapping errFrame. The declared length is not trusted for
+// allocation: a header declaring MaxPayload followed by nothing costs
+// one frameChunk, not 16 MiB.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
@@ -243,9 +249,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		Flags:   binary.LittleEndian.Uint16(hdr[6:8]),
 		ReqID:   binary.LittleEndian.Uint64(hdr[8:16]),
 	}
-	if pl := n - lenFieldCovers; pl > 0 {
-		f.Payload = make([]byte, pl)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
+	if pl := int(n - lenFieldCovers); pl > 0 {
+		var err error
+		if f.Payload, err = readPayload(r, pl); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
@@ -253,6 +259,28 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// readPayload reads an n-byte payload. The buffer starts at
+// min(n, frameChunk), so a payload up to frameChunk gets one exact
+// allocation and one read; a larger one doubles the buffer (capped at n)
+// only once the bytes already read fill it, so no allocation exceeds one
+// chunk or twice the bytes the peer has sent.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, 0, min(n, frameChunk))
+	for len(b) < n {
+		if len(b) == cap(b) {
+			grown := make([]byte, len(b), min(2*cap(b), n))
+			copy(grown, b)
+			b = grown
+		}
+		m, err := io.ReadFull(r, b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // withTrace returns payload prefixed with the 8-byte little-endian

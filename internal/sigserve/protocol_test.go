@@ -2,20 +2,28 @@ package sigserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rev/internal/sigtable"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
+	// big spans several frameChunks, so its buffer grows while it is read.
+	big := make([]byte, 3*frameChunk+5)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
 	frames := []Frame{
 		{Version: Version, Type: MsgPing, ReqID: 1},
 		{Version: Version, Type: MsgHello, Flags: 0xBEEF, ReqID: 1 << 40,
 			Payload: helloMsg{MinVersion: 1, MaxVersion: 3, Tenant: "team-a"}.encode()},
 		{Version: Version, Type: MsgError, ReqID: 7,
 			Payload: errorMsg{Code: CodeUnknownModule, Detail: "gcc"}.encode()},
+		{Version: Version, Type: MsgSnapshotData, ReqID: 8, Payload: big},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -63,6 +71,29 @@ func TestFrameHostileLength(t *testing.T) {
 		raw = append(raw, make([]byte, 64)...)
 		if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 			t.Fatalf("length %d accepted", n)
+		}
+	}
+}
+
+// TestFrameDeclaredLengthBoundsAlloc sends a header declaring a
+// MaxPayload frame and then ends the stream, with and without some
+// payload bytes first: the read must fail with io.ErrUnexpectedEOF, and
+// a bare header must cost at most one frameChunk of allocation, not the
+// declared 16 MiB.
+func TestFrameDeclaredLengthBoundsAlloc(t *testing.T) {
+	hdr := AppendFrame(nil, Frame{Version: Version, Type: MsgSnapshotData, ReqID: 1})
+	binary.LittleEndian.PutUint32(hdr, lenFieldCovers+MaxPayload)
+	for _, sent := range []int{0, 1, frameChunk, 5*frameChunk + 3} {
+		r := bytes.NewReader(append(append([]byte(nil), hdr...), make([]byte, sent)...))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFrame(r)
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("%d payload bytes then EOF: want io.ErrUnexpectedEOF, got %v", sent, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; sent == 0 && alloc > frameChunk+4096 {
+			t.Fatalf("bare MaxPayload header allocated %d bytes, want at most one %d-byte chunk", alloc, frameChunk)
 		}
 	}
 }
@@ -138,6 +169,10 @@ func FuzzReadFrame(f *testing.F) {
 		Payload: lookupBatch{Reqs: []lookupReq{{Module: "gcc", End: 8}}}.encode()}))
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Add([]byte{12, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	// A bare header declaring the largest legal payload, then EOF.
+	hostile := AppendFrame(nil, Frame{Version: Version, Type: MsgSnapshotData, ReqID: 3})
+	binary.LittleEndian.PutUint32(hostile, lenFieldCovers+MaxPayload)
+	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err == nil {
